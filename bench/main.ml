@@ -10,7 +10,7 @@
              dune exec bench/main.exe -- obs     (observability overhead -> BENCH_obs.json)
              dune exec bench/main.exe -- intent  (intent compiler -> BENCH_intent.json)
              dune exec bench/main.exe -- shard   (sharded control plane -> BENCH_shard.json)
-             dune exec bench/main.exe -- kernel  (event kernel + wire path -> BENCH_kernel.json)
+             dune exec bench/main.exe -- kernel  (event queue + wire codec micros -> BENCH_kernel.json)
              dune exec bench/main.exe -- check --baseline B.json --current C.json
 
    With [--json FILE] every headline number is additionally written to
@@ -756,8 +756,8 @@ let run_shard () =
     shard_counts
 
 (* ------------------------------------------------------------------ *)
-(* Kernel subsuite: calendar queue + zero-alloc wire path vs the        *)
-(* pinned heap/boxed reference, micro and end-to-end                    *)
+(* Kernel subsuite: calendar queue vs flat heap, pooled wire encode   *)
+(* vs the boxed reference codec (micro benchmarks)                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Same hold-model drill as [heap_hold_bench], but calendar queue vs
@@ -838,15 +838,12 @@ let run_kernel () =
     float_of_int n /. (Sys.time () -. started)
   in
   let time_fast () =
-    P4update.Wire.set_fast_path true;
     let started = Sys.time () in
     for _ = 1 to n do
       let b = P4update.Wire.control_to_bytes c in
       P4update.Wire.release_frame (Sys.opaque_identity b)
     done;
-    let rate = float_of_int n /. (Sys.time () -. started) in
-    P4update.Wire.set_fast_path false;
-    rate
+    float_of_int n /. (Sys.time () -. started)
   in
   let best f = max (f ()) (max (f ()) (f ())) in
   let boxed_rate = best time_boxed in
@@ -856,64 +853,7 @@ let run_kernel () =
   Printf.printf "  ratio        %12.2fx\n" (fast_rate /. boxed_rate);
   row "wire/encode_boxed" "ops/s" boxed_rate;
   row "wire/encode_fast" "ops/s" fast_rate;
-  row "wire/encode_ratio" "x" (fast_rate /. boxed_rate);
-  section "End-to-end scale workload: heap vs calendar + pooled wire (A/B, best of 3)";
-  let workload =
-    if quick then
-      { Harness.Scale.default_workload with Harness.Scale.wl_updates = 200; wl_flows = 50 }
-    else Harness.Scale.default_workload
-  in
-  let run_with kernel =
-    let cfg = Harness.Run_config.make ~seed:42 ~kernel () in
-    Harness.Scale.run ~workload cfg (Topo.Topologies.attmpls ())
-  in
-  (* Warm-up: page both code paths (and the frame pools) in once. *)
-  ignore (run_with Dessim.Sim.Heap);
-  ignore (run_with Dessim.Sim.Calendar);
-  let best_heap = ref 0.0 and best_cal = ref 0.0 in
-  let witness_heap = ref None and witness_cal = ref None in
-  for _ = 1 to 3 do
-    let rh = run_with Dessim.Sim.Heap in
-    witness_heap := Some rh;
-    best_heap := max !best_heap rh.Harness.Scale.sr_events_per_s;
-    let rc = run_with Dessim.Sim.Calendar in
-    witness_cal := Some rc;
-    best_cal := max !best_cal rc.Harness.Scale.sr_events_per_s
-  done;
-  P4update.Wire.set_fast_path false;
-  let speedup = !best_cal /. !best_heap in
-  Printf.printf "  heap kernel     %12.0f events/s\n" !best_heap;
-  Printf.printf "  calendar kernel %12.0f events/s\n" !best_cal;
-  Printf.printf "  speedup         %12.2fx %s\n" speedup
-    (if speedup >= 2.0 then "(>= 2x target met)" else "(below 2x target!)");
-  row "scale/events_per_s_heap" "events/s" !best_heap;
-  row "scale/events_per_s_calendar" "events/s" !best_cal;
-  row "scale/speedup" "x" speedup;
-  (* Determinism cross-check: the kernels must produce the same run —
-     same completions, same latency quantiles, same violation count. *)
-  (match (!witness_heap, !witness_cal) with
-   | Some h, Some cal ->
-     let agree =
-       h.Harness.Scale.sr_updates_completed = cal.Harness.Scale.sr_updates_completed
-       && List.length h.Harness.Scale.sr_violations
-          = List.length cal.Harness.Scale.sr_violations
-       && h.Harness.Scale.sr_p50_ms = cal.Harness.Scale.sr_p50_ms
-       && h.Harness.Scale.sr_p99_ms = cal.Harness.Scale.sr_p99_ms
-     in
-     row "scale/kernels_agree" "bool" (if agree then 1.0 else 0.0);
-     if not agree then begin
-       Printf.printf
-         "  KERNEL GATE FAILED: heap and calendar kernels disagree \
-          (%d vs %d completed, p50 %.2f vs %.2f)\n"
-         h.Harness.Scale.sr_updates_completed cal.Harness.Scale.sr_updates_completed
-         h.Harness.Scale.sr_p50_ms cal.Harness.Scale.sr_p50_ms;
-       soak_failed := true
-     end
-   | _ -> ());
-  if speedup < 2.0 then begin
-    Printf.printf "  KERNEL GATE FAILED: %.2fx < 2x end-to-end events/s\n" speedup;
-    soak_failed := true
-  end
+  row "wire/encode_ratio" "x" (fast_rate /. boxed_rate)
 
 let () =
   if check_mode then begin

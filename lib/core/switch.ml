@@ -168,14 +168,14 @@ let notify_ctl t (msg : Wire.control) =
       id
   end;
   let bytes = Wire.control_to_bytes msg in
-  Netsim.notify_controller ?recycle:(Wire.recycle_thunk bytes) t.net ~from:t.node bytes
+  Netsim.notify_controller ~recycle:(Wire.recycle_thunk bytes) t.net ~from:t.node bytes
 
 let rec send_upstream t msg ~port =
   if port = Wire.port_none then ()
   else begin
     trace_unm_send t msg;
     let bytes = Wire.control_to_bytes msg in
-    Netsim.transmit ?recycle:(Wire.recycle_thunk bytes) t.net ~from:t.node ~port bytes
+    Netsim.transmit ~recycle:(Wire.recycle_thunk bytes) t.net ~from:t.node ~port bytes
   end
 
 and fire_commit t flow_id (pc : pending_commit) =

@@ -212,33 +212,19 @@ let packet_of_bytes bytes =
   | pkt -> Some pkt
   | exception Parser.Parse_error _ -> None
 
-(* ---- fast wire path --------------------------------------------------- *)
+(* ---- wire codec ------------------------------------------------------ *)
 
 (* Both wire formats are fully byte-aligned (every field width is a
    multiple of 8), so a control frame is exactly 28 bytes (eth 6 + p4u
-   22) and a data frame 22 (eth 6 + data 16) at fixed offsets.  The fast
-   path encodes/decodes with direct byte stores against that layout —
-   the same image [Header.emit] produces — skipping the whole
+   22) and a data frame 22 (eth 6 + data 16) at fixed offsets.  The
+   runtime codec encodes/decodes with direct byte stores against that
+   layout — the same image [Header.emit] produces — skipping the whole
    Packet/Header machinery, and draws its buffers from a free-list pool
-   so a steady stream of control messages stops boxing one packet,
-   fifteen header copies and one fresh byte buffer per send.
-
-   The gate is off by default: the default (heap-kernel) path keeps the
-   reference codecs byte-for-byte, which is what every pinned chaos hash
-   and mc fingerprint was recorded against, and what the bench kernel
-   A/B uses as its baseline side.  [World.make] enables it together with
-   the calendar kernel. *)
+   so a steady stream of messages stops boxing one packet, fifteen
+   header copies and one fresh byte buffer per send. *)
 
 let control_bytes_len = 6 + Header.byte_size p4u_schema
 let data_bytes_len = 6 + Header.byte_size data_schema
-
-let fast_path = ref false
-
-let set_fast_path enabled =
-  fast_path := enabled;
-  Header.set_wire_fast enabled
-
-let fast_path_enabled () = !fast_path
 
 (* Free-list pool of wire frames, one stack per frame size.  [release]
    is only sound once the last delivery of the buffer has completed —
@@ -271,14 +257,11 @@ let pool_put pool b =
   end
 
 let release_frame b =
-  if !fast_path then begin
-    let len = Bytes.length b in
-    if len = control_bytes_len then pool_put control_pool b
-    else if len = data_bytes_len then pool_put data_pool b
-  end
+  let len = Bytes.length b in
+  if len = control_bytes_len then pool_put control_pool b
+  else if len = data_bytes_len then pool_put data_pool b
 
-let recycle_thunk b =
-  if !fast_path then Some (fun () -> release_frame b) else None
+let recycle_thunk b () = release_frame b
 
 let pooled_frames () = control_pool.n + data_pool.n
 
@@ -342,32 +325,26 @@ let data_write b (d : data) =
   put16 b 16 d.tag;
   put32 b 18 d.d_ts
 
-(* Reference codecs, always available: the bench kernel A/B and the
-   codec-equivalence qcheck call them by name. *)
+(* Reference codecs over the boxed Packet path: the bench wire rows and
+   the codec-equivalence qcheck call them by name. *)
 let control_to_bytes_boxed c = Packet.serialize (control_to_packet c)
 let data_to_bytes_boxed d = Packet.serialize (data_to_packet d)
 
 let control_to_bytes c =
-  if !fast_path then begin
-    let b = pool_take control_pool control_bytes_len in
-    control_write b c;
-    b
-  end
-  else control_to_bytes_boxed c
+  let b = pool_take control_pool control_bytes_len in
+  control_write b c;
+  b
 
 let data_to_bytes d =
-  if !fast_path then begin
-    let b = pool_take data_pool data_bytes_len in
-    data_write b d;
-    b
-  end
-  else data_to_bytes_boxed d
+  let b = pool_take data_pool data_bytes_len in
+  data_write b d;
+  b
 
 (* Direct decoders replicating Parser.run ∘ of_packet exactly: a frame
    shorter than its format, a foreign etype, or an invalid msg_type /
-   update_type decodes to [None] on both paths. *)
+   update_type decodes to [None] either way. *)
 
-let control_decode bytes =
+let control_of_bytes bytes =
   if Bytes.length bytes < control_bytes_len || get16 bytes 4 <> etype_control then None
   else
     match (msg_kind_of_int (get8 bytes 6), update_type_of_int (get8 bytes 17)) with
@@ -391,7 +368,7 @@ let control_decode bytes =
         }
     | _ -> None
 
-let data_decode bytes =
+let data_of_bytes bytes =
   if Bytes.length bytes < data_bytes_len || get16 bytes 4 <> etype_data then None
   else
     Some
@@ -404,14 +381,6 @@ let data_decode bytes =
         tag = get16 bytes 16;
         d_ts = get32 bytes 18;
       }
-
-let control_of_bytes bytes =
-  if !fast_path then control_decode bytes
-  else Option.bind (packet_of_bytes bytes) control_of_packet
-
-let data_of_bytes bytes =
-  if !fast_path then data_decode bytes
-  else Option.bind (packet_of_bytes bytes) data_of_packet
 
 (* Classifier for [Netsim.set_control_classifier]: the message kind of a
    valid control frame without materializing the record.  Semantics

@@ -1,13 +1,14 @@
 (** Discrete-event simulation kernel.
 
-    A simulation owns a virtual clock (milliseconds, [float]), an event heap
-    and a deterministic random state.  Events are thunks; scheduling is the
-    only way time advances.  The kernel is single-threaded and fully
-    deterministic for a given seed and scheduling order.
+    A simulation owns a virtual clock (milliseconds, [float]), an event
+    queue and a deterministic random state.  Events are thunks;
+    scheduling is the only way time advances.  The kernel is
+    single-threaded and fully deterministic for a given seed and
+    scheduling order.
 
     A pluggable {e choice-point layer} lets an external policy (the
     [lib/mc] model checker) pick which of the currently-enabled events
-    fires next, instead of the heap's (time, seq) FIFO order.  With no
+    fires next, instead of the queue's (time, seq) FIFO order.  With no
     chooser installed the kernel behaves exactly as before — byte for
     byte. *)
 
@@ -38,20 +39,11 @@ type candidate = { c_time : float; c_seq : int; c_tag : tag option }
     next.  Out-of-range indices raise [Invalid_argument]. *)
 type chooser = now:float -> candidate array -> int
 
-(** Which event-queue implementation backs the kernel.  [Heap] is the
-    flat SoA binary heap ({!Event_heap}) — the default, and the path
-    every pinned hash and fingerprint is recorded against.  [Calendar]
-    is the O(1)-amortized calendar queue ({!Calendar_queue}); both
-    deliver in identical (time, seq) order, so the choice is purely a
-    cost model (selected via [Run_config] / [--kernel]). *)
-type kernel = Heap | Calendar
-
 (** [create ~seed ()] makes an empty simulation with its clock at [0.0].
-    [kernel] picks the event-queue implementation (default [Heap]). *)
-val create : ?seed:int -> ?kernel:kernel -> unit -> t
-
-(** The kernel this simulation was created with. *)
-val kernel : t -> kernel
+    Events queue in a {!Calendar_queue} (O(1)-amortized, with its
+    internal {!Event_heap} fallback for same-instant or skewed
+    schedules); delivery is strict (time, seq) order either way. *)
+val create : ?seed:int -> unit -> t
 
 (** Current simulated time in milliseconds. *)
 val now : t -> float
@@ -109,9 +101,9 @@ val reset_stats : t -> unit
 val pending : t -> int
 
 (** [compact t] shrinks the event queue's backing storage to fit its
-    current pending set (see {!Event_heap.compact} /
-    {!Calendar_queue.compact}).  Content and delivery order are
-    unchanged; run it at quiesce points, not on hot paths. *)
+    current pending set (see {!Calendar_queue.compact}).  Content and
+    delivery order are unchanged; run it at quiesce points, not on hot
+    paths. *)
 val compact : t -> unit
 
 (** [set_tick t ~every_ms cb] installs an observability tick: [cb ~now]

@@ -43,6 +43,10 @@ let default_faults =
     fp_watchdog_ms = default_watchdog_ms;
   }
 
+(* One constructor: the simulator has a single event kernel.  Kept so
+   callers that thread [kernel] into [World.make] keep compiling. *)
+type kernel = Calendar
+
 type t = {
   seed : int;
   runs : int;
@@ -58,7 +62,7 @@ type t = {
   live_top : bool;
   intent_churn : bool;
   shards : int;
-  kernel : Dessim.Sim.kernel;
+  kernel : kernel;
 }
 
 let default =
@@ -77,15 +81,14 @@ let default =
     live_top = false;
     intent_churn = false;
     shards = 1;
-    kernel = Dessim.Sim.Heap;
+    kernel = Calendar;
   }
 
 let make ?(seed = default.seed) ?(runs = default.runs)
     ?(iterations = default.iterations) ?(congestion = default.congestion)
     ?trace_sink ?fault_plan ?reorder_window_ms ?(recorder = default.recorder)
     ?incident_dir ?tick_ms ?series_out ?(live_top = default.live_top)
-    ?(intent_churn = default.intent_churn) ?(shards = default.shards)
-    ?(kernel = default.kernel) () =
+    ?(intent_churn = default.intent_churn) ?(shards = default.shards) () =
   {
     seed;
     runs;
@@ -101,7 +104,7 @@ let make ?(seed = default.seed) ?(runs = default.runs)
     live_top;
     intent_churn;
     shards;
-    kernel;
+    kernel = default.kernel;
   }
 
 let with_seed seed cfg = { cfg with seed }

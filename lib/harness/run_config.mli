@@ -30,6 +30,12 @@ val default_watchdog_ms : float
 (** Same values as [Chaos.default_config]. *)
 val default_faults : fault_plan
 
+(** The simulator's event kernel.  It has one constructor and selects
+    nothing: every world runs on the calendar queue.  The type and the
+    [kernel] field of {!t} remain only so callers that pass
+    [~kernel:cfg.kernel] to [World.make] keep compiling. *)
+type kernel = Calendar
+
 type t = {
   seed : int;                        (** base seed; see {!run_seed} *)
   runs : int;                        (** sample count of multi-run experiments *)
@@ -48,10 +54,7 @@ type t = {
   shards : int;                      (** controller replicas; 1 = the single
                                          controller, byte-identical to the
                                          pre-sharding plane *)
-  kernel : Dessim.Sim.kernel;        (** event-queue implementation; [Heap]
-                                         (default) is the pinned reference
-                                         path, [Calendar] the O(1) kernel
-                                         with the zero-alloc wire path *)
+  kernel : kernel;                   (** selects nothing; see {!kernel} *)
 }
 
 (** seed 1, 30 runs, 1000 iterations, no congestion, no sink, no faults,
@@ -74,7 +77,6 @@ val make :
   ?live_top:bool ->
   ?intent_churn:bool ->
   ?shards:int ->
-  ?kernel:Dessim.Sim.kernel ->
   unit ->
   t
 

@@ -251,7 +251,7 @@ let inject t flow_id (st : flow_state) =
   in
   let bytes = P4update.Wire.data_to_bytes d in
   Netsim.host_inject
-    ?recycle:(P4update.Wire.recycle_thunk bytes)
+    ~recycle:(P4update.Wire.recycle_thunk bytes)
     t.world.World.net ~node:st.fl_src bytes
 
 let gap t =
@@ -484,11 +484,17 @@ let run_scale ?scale_workload ?(workload = default_workload) (cfg : Run_config.t
     engine := Some t;
     scale_hooks t
   in
-  let started = Dessim.Wallclock.now_s () in
   let sr = Scale.run ?workload:scale_workload ~hooks cfg topo in
-  let wall_s = Dessim.Wallclock.elapsed_s ~since:started in
   match !engine with
-  | Some t -> (sr, finalize ~wall_s t)
+  | Some t ->
+    (* Price packets over the audited run only: the kernel's own wall
+       time inside [World.run] plus the final drain, not world setup or
+       [Scale.run]'s preparation re-timing. *)
+    let started = Dessim.Wallclock.now_s () in
+    drain t;
+    let drain_s = Dessim.Wallclock.elapsed_s ~since:started in
+    let wall_s = (Sim.stats t.world.World.sim).Sim.st_wall_s +. drain_s in
+    (sr, finalize ~wall_s t)
   | None -> assert false (* Scale.run always calls the hooks factory *)
 
 let pp ppf s =

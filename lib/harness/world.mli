@@ -31,15 +31,13 @@ val flow : ?size:int -> src:int -> dst:int -> path:int list -> unit -> flow_spec
     with {!Control.Partition.make} (seeded by [seed]) and fronts the
     network with a {!Control.Sharded} coordinator; [shards = 1] keeps
     the single controller, byte-identical to the pre-sharding plane.
-    [kernel] (default [Heap]) picks the event-queue implementation; the
-    [Calendar] kernel also switches [P4update.Wire] onto its zero-alloc
-    fast path (pooled frames + byte-aligned codecs) and installs the
-    direct control classifier — both deliver identical results, only
-    faster. *)
+    [kernel] selects nothing: the simulation always runs on the calendar
+    queue (see {!Dessim.Sim.create}).  It remains only so existing
+    callers that pass [Run_config.kernel] keep compiling. *)
 val make :
   ?seed:int ->
   ?config:Netsim.config ->
-  ?kernel:Dessim.Sim.kernel ->
+  ?kernel:Run_config.kernel ->
   ?shards:int ->
   ?flows:flow_spec list ->
   Topo.Topologies.t ->

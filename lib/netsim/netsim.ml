@@ -353,8 +353,8 @@ let no_fault _ = Deliver
    pool.  The count starts at 1 (the issuance guard, released when the
    send call itself finishes, covering Drop verdicts and every
    dead-node/dead-link early return); each scheduled delivery retains
-   once and releases after its thunk runs.  With no [?recycle] (the
-   default boxed path) all of this is a no-op. *)
+   once and releases after its thunk runs.  With no [?recycle] (a frame
+   that is not pooled) all of this is a no-op. *)
 type refcount = { mutable refs : int; rc_recycle : unit -> unit }
 
 let rc_make = function

@@ -111,7 +111,7 @@ val port_host : int
 
 (** [host_inject t ~node bytes] delivers [bytes] to [node]'s device as
     host traffic entering the network at that node, after [delay]
-    (default 0) simulated ms, through the event heap.  Counted in
+    (default 0) simulated ms, through the event queue.  Counted in
     [net.data.injected]; lost (counted as failure drop) if the node is
     down at delivery time. *)
 val host_inject : ?delay:float -> ?recycle:(unit -> unit) -> t -> node:int -> Bytes.t -> unit

@@ -3,19 +3,11 @@ type schema = {
   field_list : (string * int) list;
   total_bits : int;
   (* Per-field (byte offset within the header, byte width) when every
-     field is byte-aligned; [None] for schemas with sub-byte fields.
-     Precomputed at [define] time for the fast wire path below. *)
+     field is byte-aligned; [None] for schemas with sub-byte fields,
+     which fall back to the bit loops below.  Precomputed at [define]
+     time. *)
   byte_layout : (int * int) array option;
 }
-
-(* The byte-aligned fast path for [emit]/[extract] is gated off by
-   default so the bit-by-bit reference path stays the measured baseline;
-   the wire layer ([P4update.Wire.set_fast_path]) switches it on
-   together with its own template codecs. *)
-let wire_fast = ref false
-
-let set_wire_fast enabled = wire_fast := enabled
-let wire_fast_enabled () = !wire_fast
 
 type inst = {
   schema : schema;
@@ -91,7 +83,8 @@ let set inst field v =
 
 let get_bv inst field = Bitval.make ~width:(width_of inst field) (get inst field)
 
-(* Bit-level MSB-first writer/reader over a bytes buffer. *)
+(* Bit-level MSB-first writer/reader over a bytes buffer, for schemas
+   with sub-byte fields. *)
 
 let write_bits buf ~bit_offset ~width v =
   for i = 0 to width - 1 do
@@ -138,12 +131,12 @@ let emit inst buf offset =
     if Bytes.length buf < offset + byte_size inst.schema then
       invalid_arg (Printf.sprintf "Header.emit(%s): buffer too short" inst.schema.name);
     (match inst.schema.byte_layout with
-    | Some layout when !wire_fast ->
+    | Some layout ->
       Array.iteri
         (fun i (o, nbytes) ->
           write_bytes_be buf ~pos:(offset + o) ~nbytes inst.values.(i))
         layout
-    | _ ->
+    | None ->
       let bit = ref (offset * 8) in
       List.iteri
         (fun i (_, w) ->
@@ -158,12 +151,12 @@ let extract schema buf offset =
     invalid_arg (Printf.sprintf "Header.extract(%s): buffer too short" schema.name);
   let inst = make schema in
   (match schema.byte_layout with
-  | Some layout when !wire_fast ->
+  | Some layout ->
     Array.iteri
       (fun i (o, nbytes) ->
         inst.values.(i) <- read_bytes_be buf ~pos:(offset + o) ~nbytes)
       layout
-  | _ ->
+  | None ->
     let bit = ref (offset * 8) in
     List.iteri
       (fun i (_, w) ->

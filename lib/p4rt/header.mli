@@ -15,16 +15,6 @@ type inst
     bit width not divisible by 8. *)
 val define : name:string -> (string * int) list -> schema
 
-(** Gate for the byte-aligned fast path in {!emit}/{!extract}: when
-    enabled, schemas whose every field width is a multiple of 8 (all the
-    P4Update wire schemas) serialize with per-byte MSB-first stores
-    instead of per-bit writes — the wire image is identical.  Off by
-    default; [P4update.Wire.set_fast_path] flips it together with its
-    template codecs so the reference path stays the measured baseline. *)
-val set_wire_fast : bool -> unit
-
-val wire_fast_enabled : unit -> bool
-
 val schema_name : schema -> string
 val byte_size : schema -> int
 val fields : schema -> (string * int) list
@@ -45,12 +35,15 @@ val set : inst -> string -> int -> inst
 val get_bv : inst -> string -> Bitval.t
 
 (** Serialize into [bytes] at [offset]; returns the next offset.  Invalid
-    instances emit nothing. *)
+    instances emit nothing.  Schemas whose every field width is a
+    multiple of 8 (all the P4Update wire schemas) are written with
+    per-byte MSB-first stores; schemas with a sub-byte field go through
+    per-bit writes.  Both produce the same MSB-first wire image. *)
 val emit : inst -> Bytes.t -> int -> int
 
 (** [extract schema buf offset] parses one instance; returns it (valid)
     and the next offset.  Raises [Invalid_argument] if the buffer is too
-    short. *)
+    short.  Byte- or bit-wise like {!emit}. *)
 val extract : schema -> Bytes.t -> int -> inst * int
 
 val pp : Format.formatter -> inst -> unit

@@ -165,8 +165,7 @@ let test_calendar_remove_and_compact () =
   drain ()
 
 let test_sim_calendar_kernel () =
-  let sim = Sim.create ~kernel:Sim.Calendar () in
-  Alcotest.(check bool) "kernel recorded" true (Sim.kernel sim = Sim.Calendar);
+  let sim = Sim.create () in
   let trace = ref [] in
   Sim.schedule sim ~delay:10.0 (fun () -> trace := ("b", Sim.now sim) :: !trace);
   Sim.schedule sim ~delay:5.0 (fun () ->

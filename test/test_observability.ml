@@ -155,6 +155,23 @@ let test_note_without_recorder () =
   Alcotest.(check (option string)) "trigger without recorder" None
     (Recorder.trigger ~now:1.0 ~reason:"nobody-home")
 
+(* The recorder's zero-alloc claim: once installed, [note] is array
+   stores only. *)
+let test_note_zero_alloc () =
+  let r = Recorder.create ~capacity:1024 () in
+  Recorder.install r;
+  let note i = Recorder.note ~now:2.5 ~kind:Recorder.k_push ~node:i ~flow:i ~a:i ~b:i in
+  for i = 1 to 1_000 do note i done;
+  let ops = 20_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to ops do note i done;
+  let words = (Gc.minor_words () -. before) /. float_of_int ops in
+  Recorder.uninstall ();
+  Alcotest.(check int) "every note recorded" (1_000 + ops) (Recorder.total r);
+  Alcotest.(check bool)
+    (Printf.sprintf "note %.4f words/event < 1" words)
+    true (words < 1.0)
+
 (* --- flight recorder: incident snapshots ---------------------------- *)
 
 (* Drive the same event sequence twice into recorders with separate
@@ -450,6 +467,7 @@ let suite =
     Alcotest.test_case "metrics histogram edges" `Quick test_histogram_edges;
     Alcotest.test_case "recorder ring wraparound" `Quick test_recorder_wraparound;
     Alcotest.test_case "recorder disabled is a no-op" `Quick test_note_without_recorder;
+    Alcotest.test_case "recorder note allocates nothing" `Quick test_note_zero_alloc;
     Alcotest.test_case "incident snapshots deterministic" `Quick
       test_snapshot_determinism;
     Alcotest.test_case "incident snapshots loadable & capped" `Quick

@@ -6,9 +6,11 @@
      order on random schedules (including exact same-instant ties),
      same [fold] candidate sets, same [remove_seq] behavior, with
      mid-schedule [compact] observably transparent.
-   - Wire codec equivalence: the fast (pooled, direct-store) control and
-     data codecs emit byte-identical frames to the boxed Packet path and
-     return identical decode verdicts on arbitrary byte strings.
+   - Wire codec equivalence: the pooled direct-store control and data
+     codecs emit byte-identical frames to the boxed Packet path and
+     return identical decode verdicts on arbitrary byte strings; the
+     header byte layout matches the bit loops; encode + release
+     allocates nothing in steady state.
    - Determinism pins: the chaos delivery hashes, the mc final-state
      fingerprints on the default schedule and a trace JSONL digest are
      pinned to literals, so any change to event ordering — however
@@ -184,14 +186,12 @@ let prop_control_codec_equiv =
     (fun seed ->
       let c = control_of_seed seed in
       let boxed = W.control_to_bytes_boxed c in
-      W.set_fast_path true;
       let fast = W.control_to_bytes c in
       let same_bytes = Bytes.equal boxed fast in
       let dec_fast = W.control_of_bytes fast in
       let kind_fast = W.control_kind_of_bytes fast in
       W.release_frame fast;
-      W.set_fast_path false;
-      let dec_ref = W.control_of_bytes boxed in
+      let dec_ref = Option.bind (W.packet_of_bytes boxed) W.control_of_packet in
       same_bytes && dec_fast = Some c && dec_ref = Some c
       && kind_fast = Some (W.msg_kind_to_int c.W.kind))
 
@@ -201,13 +201,11 @@ let prop_data_codec_equiv =
     (fun seed ->
       let d = data_of_seed seed in
       let boxed = W.data_to_bytes_boxed d in
-      W.set_fast_path true;
       let fast = W.data_to_bytes d in
       let same_bytes = Bytes.equal boxed fast in
       let dec_fast = W.data_of_bytes fast in
       W.release_frame fast;
-      W.set_fast_path false;
-      let dec_ref = W.data_of_bytes boxed in
+      let dec_ref = Option.bind (W.packet_of_bytes boxed) W.data_of_packet in
       same_bytes && dec_fast = Some d && dec_ref = Some d)
 
 let prop_decode_equiv_random_bytes =
@@ -219,13 +217,77 @@ let prop_decode_equiv_random_bytes =
     QCheck.(string_gen_of_size (Gen.int_range 0 40) Gen.char)
     (fun s ->
       let b = Bytes.of_string s in
-      W.set_fast_path true;
       let fc = W.control_of_bytes b and fd = W.data_of_bytes b in
       let fk = W.control_kind_of_bytes b in
-      W.set_fast_path false;
-      let rc = W.control_of_bytes b and rd = W.data_of_bytes b in
-      let rk = W.control_kind_of_bytes b in
+      let pkt = W.packet_of_bytes b in
+      let rc = Option.bind pkt W.control_of_packet and rd = Option.bind pkt W.data_of_packet in
+      let rk = Option.map (fun c -> W.msg_kind_to_int c.W.kind) rc in
       fc = rc && fd = rd && fk = rk)
+
+(* [Header.emit]/[extract] write byte-aligned schemas (eth/p4u/data)
+   with per-byte stores; the bit loops only run for sub-byte schemas.  A
+   twin schema that splits every field into (w - 4, 4) bits has the same
+   wire image but forces the bit loops, so the two paths can be compared
+   on random field values. *)
+let split_twin schema =
+  P4rt.Header.define
+    ~name:(P4rt.Header.schema_name schema ^ "-bits")
+    (List.concat_map
+       (fun (f, w) -> [ (f ^ ".hi", w - 4); (f ^ ".lo", 4) ])
+       (P4rt.Header.fields schema))
+
+let prop_header_bytes_equal_bits =
+  let module H = P4rt.Header in
+  let schemas = [| W.eth_schema; W.p4u_schema; W.data_schema |] in
+  let twins = Array.map split_twin schemas in
+  QCheck.Test.make ~name:"header byte layout = bit loops (eth/p4u/data)" ~count:500
+    QCheck.(pair (int_bound 2) (int_bound 0x3FFFFFFF))
+    (fun (k, seed) ->
+      let schema = schemas.(k) and twin = twins.(k) in
+      let nxt = field_drawer seed in
+      let inst, twin_inst =
+        List.fold_left
+          (fun (h, t) (f, w) ->
+            (* [field_drawer] yields 30 bits; two draws cover 32-bit fields. *)
+            let v = ((nxt 0x10000 lsl 16) lor nxt 0x10000) land ((1 lsl w) - 1) in
+            (H.set h f v, H.set (H.set t (f ^ ".hi") (v lsr 4)) (f ^ ".lo") (v land 0xf)))
+          (H.make schema, H.make twin) (H.fields schema)
+      in
+      let size = H.byte_size schema in
+      let by_bytes = Bytes.make size '\000' and by_bits = Bytes.make size '\000' in
+      ignore (H.emit inst by_bytes 0);
+      ignore (H.emit twin_inst by_bits 0);
+      let back, _ = H.extract schema by_bits 0 in
+      let twin_back, _ = H.extract twin by_bytes 0 in
+      Bytes.equal by_bytes by_bits
+      && List.for_all
+           (fun (f, _) ->
+             H.get back f = H.get inst f
+             && (H.get twin_back (f ^ ".hi") lsl 4) lor H.get twin_back (f ^ ".lo")
+                = H.get inst f)
+           (H.fields schema))
+
+(* The pooled codec's zero-alloc claim: after warm-up (the pool holds a
+   frame and its stack is sized), encode + release allocates nothing. *)
+let minor_words_per_op ~ops f =
+  for _ = 1 to 1_000 do f () done;
+  let before = Gc.minor_words () in
+  for _ = 1 to ops do f () done;
+  (Gc.minor_words () -. before) /. float_of_int ops
+
+let test_codec_zero_alloc () =
+  let ops = 20_000 in
+  let c = control_of_seed 17 and d = data_of_seed 17 in
+  let control_words =
+    minor_words_per_op ~ops (fun () -> W.release_frame (W.control_to_bytes c))
+  in
+  let data_words = minor_words_per_op ~ops (fun () -> W.release_frame (W.data_to_bytes d)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "control encode+release %.4f words/frame < 1" control_words)
+    true (control_words < 1.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "data encode+release %.4f words/frame < 1" data_words)
+    true (data_words < 1.0)
 
 (* --- determinism pins ----------------------------------------------- *)
 
@@ -326,28 +388,6 @@ let test_scale_deterministic () =
     b.Harness.Scale.sr_sim_ms;
   Alcotest.(check (float 0.0)) "p99" a.Harness.Scale.sr_p99_ms b.Harness.Scale.sr_p99_ms
 
-let test_scale_kernel_identity () =
-  (* The calendar kernel + pooled wire path must produce the exact run
-     the heap kernel does — same event count, same completions, same
-     latency quantiles — on the same seed.  Only the cost model may
-     differ. *)
-  let run kernel =
-    let cfg = Harness.Run_config.make ~seed:11 ~kernel () in
-    Harness.Scale.run ~workload:small_workload cfg (Topo.Topologies.attmpls ())
-  in
-  let h = run Dessim.Sim.Heap in
-  let c = run Dessim.Sim.Calendar in
-  P4update.Wire.set_fast_path false;
-  Alcotest.(check int) "completed" h.Harness.Scale.sr_updates_completed
-    c.Harness.Scale.sr_updates_completed;
-  Alcotest.(check int) "events" h.Harness.Scale.sr_events c.Harness.Scale.sr_events;
-  Alcotest.(check (float 0.0)) "sim time" h.Harness.Scale.sr_sim_ms c.Harness.Scale.sr_sim_ms;
-  Alcotest.(check (float 0.0)) "p50" h.Harness.Scale.sr_p50_ms c.Harness.Scale.sr_p50_ms;
-  Alcotest.(check (float 0.0)) "p99" h.Harness.Scale.sr_p99_ms c.Harness.Scale.sr_p99_ms;
-  Alcotest.(check int) "violations" (List.length h.Harness.Scale.sr_violations)
-    (List.length c.Harness.Scale.sr_violations);
-  Alcotest.(check int) "probes" h.Harness.Scale.sr_probes c.Harness.Scale.sr_probes
-
 (* --- Run_config glue ------------------------------------------------- *)
 
 let test_fault_plan_sync () =
@@ -378,12 +418,14 @@ let suite =
     QCheck_alcotest.to_alcotest prop_control_codec_equiv;
     QCheck_alcotest.to_alcotest prop_data_codec_equiv;
     QCheck_alcotest.to_alcotest prop_decode_equiv_random_bytes;
+    QCheck_alcotest.to_alcotest prop_header_bytes_equal_bits;
+    Alcotest.test_case "pooled codec allocates nothing per frame" `Quick
+      test_codec_zero_alloc;
     Alcotest.test_case "chaos delivery hashes pinned" `Slow test_chaos_pins;
     Alcotest.test_case "mc fingerprints pinned" `Quick test_mc_pins;
     Alcotest.test_case "trace digest pinned" `Quick test_trace_digest;
     Alcotest.test_case "scale run completes clean" `Quick test_scale_runs;
     Alcotest.test_case "scale run is deterministic" `Quick test_scale_deterministic;
-    Alcotest.test_case "heap and calendar kernels agree" `Quick test_scale_kernel_identity;
     Alcotest.test_case "fault plan mirrors chaos defaults" `Quick test_fault_plan_sync;
     Alcotest.test_case "world builds with declared flows" `Quick test_world_flows;
   ]

@@ -54,6 +54,28 @@ let test_retime_prep_pure () =
   Alcotest.(check bool) "throughput measured" true (rate > 0.0);
   Alcotest.(check int) "controller fingerprint unchanged" before after
 
+(* [ts_pkts_per_s] is priced over the audited run (kernel wall time plus
+   the final drain), not world setup or [Scale.run]'s fixed >= 0.2 s
+   preparation re-timing loop, which a tiny workload always triggers. *)
+let test_pkts_per_s_prices_run () =
+  let cfg = Harness.Run_config.make ~seed:5 () in
+  let sr, ts =
+    Traffic.run_scale
+      ~scale_workload:{ Scale.default_workload with Scale.wl_updates = 20; wl_flows = 10 }
+      ~workload:small_traffic cfg (Topologies.attmpls ())
+  in
+  let st_wall_s = float_of_int sr.Scale.sr_events /. sr.Scale.sr_events_per_s in
+  Alcotest.(check bool)
+    (Printf.sprintf "ts_wall_s=%.4f excludes the re-timing loop" ts.Traffic.ts_wall_s)
+    true (ts.Traffic.ts_wall_s < 0.2);
+  Alcotest.(check bool)
+    (Printf.sprintf "ts_wall_s=%.6f covers st_wall_s=%.6f" ts.Traffic.ts_wall_s st_wall_s)
+    true
+    (ts.Traffic.ts_wall_s >= st_wall_s *. (1.0 -. 1e-9));
+  Alcotest.(check (float 1e-6)) "pkts/s = injected / ts_wall_s"
+    (float_of_int ts.Traffic.ts_injected /. ts.Traffic.ts_wall_s)
+    ts.Traffic.ts_pkts_per_s
+
 (* Satellite 3: a flow is only admitted with at least two alternative
    paths — on a line there is exactly one path, so no admission. *)
 let test_alt_paths_needs_two () =
@@ -148,6 +170,8 @@ let suite =
       test_wall_clock;
     Alcotest.test_case "retime_prep leaves live controller untouched" `Quick
       test_retime_prep_pure;
+    Alcotest.test_case "pkts/s priced over the audited run" `Quick
+      test_pkts_per_s_prices_run;
     Alcotest.test_case "admission requires two alternative paths" `Quick
       test_alt_paths_needs_two;
     Alcotest.test_case "burst under-fill is recorded" `Quick
