@@ -10,7 +10,7 @@
              dune exec bench/main.exe -- obs     (observability overhead -> BENCH_obs.json)
              dune exec bench/main.exe -- intent  (intent compiler -> BENCH_intent.json)
              dune exec bench/main.exe -- shard   (sharded control plane -> BENCH_shard.json)
-             dune exec bench/main.exe -- kernel  (event queue + wire codec micros -> BENCH_kernel.json)
+             dune exec bench/main.exe -- kernel  (event queue, wire codec, switch hop -> BENCH_kernel.json)
              dune exec bench/main.exe -- check --baseline B.json --current C.json
 
    With [--json FILE] every headline number is additionally written to
@@ -806,6 +806,53 @@ let calendar_hold_bench ~hold ~ops =
   let cal_ops = best run_cal in
   (cal_ops, heap_ops)
 
+(* Switch data hop: one probe crosses an 8-node line of P4Update
+   switches (7 forwarded hops: admit, decode, copy-and-patch, transmit,
+   deliver) and is delivered at the far end — the probe of the
+   "forwarded hop allocation pinned" test.  Returns (hops/s, minor
+   words per hop); the words figure is deterministic. *)
+let switch_hop_bench ~probes =
+  let n = 8 in
+  let g = Topo.Graph.create n in
+  for i = 0 to n - 2 do
+    Topo.Graph.add_edge g ~u:i ~v:(i + 1) ~latency_ms:1.0 ~capacity:10.0
+  done;
+  let topo =
+    { Topo.Topologies.name = "line"; kind = Topo.Topologies.Synthetic; graph = g;
+      node_names = Array.init n string_of_int; controller = 0 }
+  in
+  let sim = Dessim.Sim.create () in
+  let net = Netsim.create sim topo in
+  let switches = Array.init n (fun node -> P4update.Switch.create net ~node) in
+  Array.iteri
+    (fun i sw ->
+      P4update.Switch.install_initial sw ~flow_id:5 ~version:1 ~dist:(n - 1 - i)
+        ~egress_port:
+          (if i = n - 1 then P4update.Wire.port_local
+           else Netsim.port_of_neighbor net ~node:i ~neighbor:(i + 1))
+        ~notify_port:P4update.Wire.port_none ~size:0)
+    switches;
+  let d =
+    { P4update.Wire.d_flow_id = 5; seq = 0; ttl = 64; origin = 0; dst = n - 1; tag = 0;
+      d_ts = 0 }
+  in
+  let probe () =
+    P4update.Switch.inject_data switches.(0) d;
+    ignore (Dessim.Sim.run sim)
+  in
+  for _ = 1 to 1_000 do probe () done;
+  let hops = float_of_int (probes * (n - 1)) in
+  let words0 = Gc.minor_words () in
+  for _ = 1 to probes do probe () done;
+  let words_per_hop = (Gc.minor_words () -. words0) /. hops in
+  let timed () =
+    let started = Sys.time () in
+    for _ = 1 to probes do probe () done;
+    hops /. (Sys.time () -. started)
+  in
+  let hops_per_s = max (timed ()) (max (timed ()) (timed ())) in
+  (hops_per_s, words_per_hop)
+
 let run_kernel () =
   Printf.printf "P4Update kernel subsuite (%s mode)\n" (if quick then "quick" else "full");
   let row name unit value = emit ~prefix:"kernel" name unit value in
@@ -853,7 +900,12 @@ let run_kernel () =
   Printf.printf "  ratio        %12.2fx\n" (fast_rate /. boxed_rate);
   row "wire/encode_boxed" "ops/s" boxed_rate;
   row "wire/encode_fast" "ops/s" fast_rate;
-  row "wire/encode_ratio" "x" (fast_rate /. boxed_rate)
+  row "wire/encode_ratio" "x" (fast_rate /. boxed_rate);
+  section "Switch data hop (8-node line, one probe at a time)";
+  let hops_per_s, words_per_hop = switch_hop_bench ~probes:(if quick then 20_000 else 100_000) in
+  Printf.printf "  %12.0f hops/s, %.1f minor words per hop\n" hops_per_s words_per_hop;
+  row "switch/hops_per_s" "ops/s" hops_per_s;
+  row "switch/words_per_hop" "words" words_per_hop
 
 let () =
   if check_mode then begin

@@ -416,12 +416,10 @@ let handle_data t ctx (d : Wire.data) =
   end
   else begin
     t.stats.forwarded <- t.stats.forwarded + 1;
-    let pkt =
-      Packet.update (Pipeline.packet ctx) "data" (fun h ->
-          let h = P4rt.Header.set h "ttl" (d.ttl - 1) in
-          P4rt.Header.set h "tag" d.tag)
-    in
-    Pipeline.set_packet ctx pkt;
+    (* Copy-and-patch into a pooled frame; egress emits it verbatim and
+       [run_pipeline] recycles it after its last delivery. *)
+    Pipeline.set_output ctx
+      (Wire.data_forward_bytes (Pipeline.ingress_bytes ctx) ~ttl:(d.ttl - 1) ~tag:d.tag);
     Pipeline.set_egress ctx port
   end
 
@@ -756,14 +754,19 @@ let handle_cleanup t ctx (c : Wire.control) =
     end
   end
 
+(* The frame is decoded straight from the ingress bytes; the boxed
+   packet is never built on this path. *)
 let ingress_control t ctx =
-  let pkt = Pipeline.packet ctx in
-  match Wire.control_of_packet pkt with
+  let bytes = Pipeline.ingress_bytes ctx in
+  match Wire.control_of_bytes bytes with
   | Some c ->
     (* Registers are indexed by the flow-id hash: mask like the P4 program
        does.  A corrupted id aliases some slot and is then rejected by the
        verification checks. *)
-    let c = { c with Wire.flow_id = c.Wire.flow_id land (Wire.flow_space - 1) } in
+    let c =
+      if c.Wire.flow_id < Wire.flow_space then c
+      else { c with Wire.flow_id = c.Wire.flow_id land (Wire.flow_space - 1) }
+    in
     (match c.kind with
      | Wire.Uim -> handle_uim t ctx c
      | Wire.Unm -> handle_unm t ctx c
@@ -771,7 +774,8 @@ let ingress_control t ctx =
      | Wire.Wdm -> handle_withdraw t ctx c
      | Wire.Frm | Wire.Ufm -> Pipeline.mark_to_drop ctx (* switch is not their consumer *))
   | None ->
-    (match Wire.data_of_packet pkt with
+    (match Wire.data_of_bytes bytes with
+     | Some d when d.Wire.d_flow_id < Wire.flow_space -> handle_data t ctx d
      | Some d ->
        handle_data t ctx { d with Wire.d_flow_id = d.Wire.d_flow_id land (Wire.flow_space - 1) }
      | None -> Pipeline.mark_to_drop ctx)
@@ -781,24 +785,34 @@ let ingress_control t ctx =
 (* ------------------------------------------------------------------ *)
 
 let drain_actions t =
-  let todo = t.queue in
-  t.queue <- [];
-  List.iter
-    (fun action ->
-      match action with
-      | Schedule_commit (flow_id, pc) -> schedule_commit t flow_id pc
-      | Send_upstream (msg, port) -> send_upstream t msg ~port
-      | Send_ufm msg -> notify_ctl t msg
-      | Resubmit_bytes bytes -> Netsim.resubmit t.net ~node:t.node bytes)
-    todo
+  match t.queue with
+  | [] -> ()
+  | todo ->
+    t.queue <- [];
+    List.iter
+      (fun action ->
+        match action with
+        | Schedule_commit (flow_id, pc) -> schedule_commit t flow_id pc
+        | Send_upstream (msg, port) -> send_upstream t msg ~port
+        | Send_ufm msg -> notify_ctl t msg
+        | Resubmit_bytes bytes ->
+          Netsim.resubmit ~recycle:(Wire.recycle_thunk bytes) t.net ~node:t.node bytes)
+      todo
+
+(* Emitted frames are fresh and owned here (Pipeline.set_output): each
+   goes back to the wire pool once its last delivery is done. *)
+let rec transmit_emissions t = function
+  | [] -> ()
+  | { Pipeline.out_port; bytes } :: rest ->
+    if out_port < Netsim.port_count t.net ~node:t.node then
+      Netsim.transmit ~recycle:(Wire.recycle_thunk bytes) t.net ~from:t.node ~port:out_port
+        bytes
+    else Wire.release_frame bytes;
+    transmit_emissions t rest
 
 let run_pipeline t ~port bytes =
   let outcome = Pipeline.process t.pipe ~ingress_port:port bytes in
-  List.iter
-    (fun { Pipeline.out_port; bytes } ->
-      if out_port < Netsim.port_count t.net ~node:t.node then
-        Netsim.transmit t.net ~from:t.node ~port:out_port bytes)
-    outcome.Pipeline.emissions;
+  transmit_emissions t outcome.Pipeline.emissions;
   (match outcome.Pipeline.resubmitted with
    | Some pkt -> Netsim.resubmit t.net ~node:t.node (Packet.serialize pkt)
    | None -> ());
@@ -891,7 +905,11 @@ let restart t =
   Uib.reset t.uib;
   install_port_capacities t.net ~node:t.node t.uib
 
-let inject_data t data = run_pipeline t ~port:host_port (Wire.data_to_bytes data)
+let inject_data t data =
+  let bytes = Wire.data_to_bytes data in
+  run_pipeline t ~port:host_port bytes;
+  (* The pipeline ran synchronously and kept nothing of the frame. *)
+  Wire.release_frame bytes
 
 let install_initial t ~flow_id ~version ~dist ~egress_port ~notify_port ~size =
   let u = t.uib in

@@ -340,6 +340,19 @@ let data_to_bytes d =
   data_write b d;
   b
 
+(* A forwarded data frame: the ingress frame with ttl (byte 12) and tag
+   (bytes 16-17) patched — exactly the image of [Packet.update pkt "data"]
+   setting both fields + [Packet.serialize], because every field is
+   byte-aligned and re-emits as it was read.  Trailing payload is copied
+   too; only exact-size frames come from (and return to) the pool. *)
+let data_forward_bytes src ~ttl ~tag =
+  let len = Bytes.length src in
+  let b = if len = data_bytes_len then pool_take data_pool len else Bytes.create len in
+  Bytes.blit src 0 b 0 len;
+  put8 b 12 ttl;
+  put16 b 16 tag;
+  b
+
 (* Direct decoders replicating Parser.run ∘ of_packet exactly: a frame
    shorter than its format, a foreign etype, or an invalid msg_type /
    update_type decodes to [None] either way. *)

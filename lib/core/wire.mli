@@ -99,6 +99,9 @@ type control = {
 val control_default : msg_kind -> control
 
 val control_to_packet : control -> P4rt.Packet.t
+
+(** Boxed decode (test oracle only; runtime code decodes with
+    {!control_of_bytes}). *)
 val control_of_packet : P4rt.Packet.t -> control option
 
 (** {2 Data packet view} *)
@@ -116,6 +119,9 @@ type data = {
 }
 
 val data_to_packet : data -> P4rt.Packet.t
+
+(** Boxed decode (test oracle only; runtime code decodes with
+    {!data_of_bytes}). *)
 val data_of_packet : P4rt.Packet.t -> data option
 
 (** Serialize helpers (deparse to bytes): direct byte stores into a
@@ -124,7 +130,10 @@ val data_of_packet : P4rt.Packet.t -> data option
 val control_to_bytes : control -> Bytes.t
 val data_to_bytes : data -> Bytes.t
 
-(** Parse raw bytes with {!parser} (None on parse failure). *)
+(** Parse raw bytes with {!parser} (None on parse failure).  Together
+    with {!control_of_packet} / {!data_of_packet} this is the boxed
+    decode path, kept only as the oracle the tests compare the direct
+    decoders against: nothing in the libraries calls it. *)
 val packet_of_bytes : Bytes.t -> P4rt.Packet.t option
 
 (** {2 Wire codec}
@@ -133,8 +142,10 @@ val packet_of_bytes : Bytes.t -> P4rt.Packet.t option
     sizes (control 28 bytes, data 22) and fixed field offsets.
     {!control_to_bytes} / {!data_to_bytes} encode with direct byte
     stores into pooled buffers and {!control_of_bytes} /
-    {!data_of_bytes} decode without running the parse graph.  Every
-    wire image and decode verdict is identical to the boxed
+    {!data_of_bytes} decode without running the parse graph; they are
+    the only codec at runtime, on the switch path (ingress decode and
+    {!data_forward_bytes}) and in every harness, baseline and observer.
+    Every wire image and decode verdict is identical to the boxed
     Packet/Header path (enforced by qcheck equivalence properties
     against {!control_to_bytes_boxed} / {!data_to_bytes_boxed} and
     {!packet_of_bytes}). *)
@@ -151,6 +162,15 @@ val data_bytes_len : int
 val control_of_bytes : Bytes.t -> control option
 
 val data_of_bytes : Bytes.t -> data option
+
+(** [data_forward_bytes frame ~ttl ~tag] is the frame a switch forwards
+    for the data frame [frame]: a copy with [ttl] and [tag] patched,
+    trailing payload included.  Byte-identical to parsing [frame],
+    [Packet.update]-ing the [data] header's ttl and tag and
+    [Packet.serialize] (qcheck-pinned).  Exact-size frames come from the
+    pool (see {!release_frame}); [frame] must decode with
+    {!data_of_bytes}. *)
+val data_forward_bytes : Bytes.t -> ttl:int -> tag:int -> Bytes.t
 
 (** Message kind of a valid control frame (for
     [Netsim.set_control_classifier]) without materializing the record;

@@ -134,10 +134,7 @@ let draw_flows sim topo n =
    real switch discards frames whose FCS fails — so a corrupted control
    frame is a drop, not a delivery of garbage.  Data-typed frames get the
    actual bit flip (harmless to forwarding state). *)
-let is_control_frame bytes =
-  match Option.bind (P4update.Wire.packet_of_bytes bytes) P4update.Wire.control_of_packet with
-  | Some _ -> true
-  | None -> false
+let is_control_frame bytes = P4update.Wire.control_kind_of_bytes bytes <> None
 
 let draw_verdict sim ~downgrade_corrupt =
   let x = Sim.uniform sim ~bound:1.0 in

@@ -185,12 +185,9 @@ let flow_state_of (f : P4update.Controller.flow) =
 
 (* ---- delivery hooks -------------------------------------------------- *)
 
-let data_of_bytes bytes =
-  Option.bind (P4update.Wire.packet_of_bytes bytes) P4update.Wire.data_of_packet
-
 (* A link-hop of one of our probes: append the receiving node. *)
 let on_hop t _time node _port bytes =
-  match data_of_bytes bytes with
+  match P4update.Wire.data_of_bytes bytes with
   | Some d -> (
     match Hashtbl.find_opt t.flight d.P4update.Wire.seq with
     | Some pk when pk.pk_flow = d.P4update.Wire.d_flow_id ->

@@ -436,13 +436,17 @@ let host_inject ?(delay = 0.0) ?recycle t ~node bytes =
       rc_release rc);
   rc_release rc
 
-let resubmit t ~node bytes =
+let resubmit ?recycle t ~node bytes =
   Obs.Metrics.incr t.stats.h_resubmissions;
+  let rc = rc_make recycle in
+  rc_retain rc;
   Sim.schedule
     ?tag:(delivery_tag t ~kind:"resubmit" ~node bytes)
     t.sim ~delay:t.cfg.resubmit_delay_ms
     (fun () ->
-      if node_is_up t ~node then t.handlers.(node) (Data { port = -1; bytes }))
+      if node_is_up t ~node then t.handlers.(node) (Data { port = -1; bytes });
+      rc_release rc);
+  rc_release rc
 
 (* ------------------------------------------------------------------ *)
 (* Control plane                                                        *)

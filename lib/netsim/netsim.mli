@@ -102,8 +102,10 @@ val set_controller : t -> (from:int -> Bytes.t -> unit) -> unit
     after link propagation latency plus the receiver's processing time. *)
 val transmit : ?recycle:(unit -> unit) -> t -> from:int -> port:int -> Bytes.t -> unit
 
-(** Loopback re-injection after [resubmit_delay_ms] (BMv2 resubmit). *)
-val resubmit : t -> node:int -> Bytes.t -> unit
+(** Loopback re-injection after [resubmit_delay_ms] (BMv2 resubmit).
+    [?recycle] follows the {!transmit} contract: called once, after the
+    re-injection has run (or was lost to a down node). *)
+val resubmit : ?recycle:(unit -> unit) -> t -> node:int -> Bytes.t -> unit
 
 (** Ingress port a device sees for a host-injected packet ([-2]); devices
     translate it to their host-facing pseudo ingress. *)

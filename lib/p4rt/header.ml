@@ -125,6 +125,19 @@ let[@inline] read_bytes_be buf ~pos ~nbytes =
   done;
   !v
 
+let rec read_field_at schema field buf bit = function
+  | [] -> invalid_arg (Printf.sprintf "Header(%s): unknown field %s" schema.name field)
+  | (f, w) :: rest ->
+    if f <> field then read_field_at schema field buf (bit + w) rest
+    else if bit land 7 = 0 && w land 7 = 0 then
+      read_bytes_be buf ~pos:(bit lsr 3) ~nbytes:(w lsr 3)
+    else read_bits buf ~bit_offset:bit ~width:w
+
+let read_field schema field buf offset =
+  if offset < 0 || Bytes.length buf < offset + byte_size schema then
+    invalid_arg (Printf.sprintf "Header.read_field(%s): buffer too short" schema.name);
+  read_field_at schema field buf (offset * 8) schema.field_list
+
 let emit inst buf offset =
   if not inst.valid then offset
   else begin

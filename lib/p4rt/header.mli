@@ -34,6 +34,13 @@ val set : inst -> string -> int -> inst
 
 val get_bv : inst -> string -> Bitval.t
 
+(** [read_field schema field buf offset] is [field] of the [schema]
+    header serialized at byte [offset] of [buf], read straight from the
+    wire image without building an instance.  Raises [Invalid_argument]
+    on unknown fields, like {!get}, and when the header does not fit in
+    [buf], like {!extract}. *)
+val read_field : schema -> string -> Bytes.t -> int -> int
+
 (** Serialize into [bytes] at [offset]; returns the next offset.  Invalid
     instances emit nothing.  Schemas whose every field width is a
     multiple of 8 (all the P4Update wire schemas) are written with

@@ -34,42 +34,51 @@ let create states =
     states;
   { states = List.map (fun s -> (s.state_name, s)) states }
 
-let run parser bytes =
-  let rec step state_name offset headers visits =
-    if visits > 64 then raise (Parse_error "state visit budget exceeded");
-    let state =
-      match List.assoc_opt state_name parser.states with
-      | Some s -> s
-      | None -> raise (Parse_error ("unknown state " ^ state_name))
-    in
-    let extracted, offset =
-      match state.extracts with
-      | None -> (None, offset)
-      | Some schema ->
-        (try
-           let inst, next = Header.extract schema bytes offset in
-           (Some inst, next)
-         with Invalid_argument msg -> raise (Parse_error msg))
-    in
-    let headers = match extracted with None -> headers | Some h -> h :: headers in
-    let rec decide = function
-      | Accept -> (None, offset, headers)
-      | Goto s -> (Some s, offset, headers)
-      | Select (field, cases, default) ->
-        let inst =
-          match extracted with
-          | Some h -> h
-          | None -> raise (Parse_error "select without extraction")
-        in
-        let v = Header.get inst field in
-        (match List.assoc_opt v cases with
-         | Some target -> (Some target, offset, headers)
-         | None -> decide default)
-    in
-    match decide state.transition with
-    | None, offset, headers -> (offset, headers)
-    | Some target, offset, headers -> step target offset headers (visits + 1)
+(* The one walker over the parse graph.  [on_extract schema offset] runs
+   for every header the graph extracts, and the walk returns the offset
+   where the payload starts.  Select fields are read straight from the
+   bytes and nothing is allocated outside the error paths, so admission
+   ({!admit}) and full parsing ({!run}) share one verdict. *)
+let rec walk parser bytes on_extract state_name offset visits =
+  if visits > 64 then raise (Parse_error "state visit budget exceeded");
+  let state =
+    match List.assoc state_name parser.states with
+    | s -> s
+    | exception Not_found -> raise (Parse_error ("unknown state " ^ state_name))
   in
-  let offset, headers = step "start" 0 [] 0 in
+  match state.extracts with
+  | None -> decide parser bytes on_extract state offset offset visits state.transition
+  | Some schema ->
+    let size = Header.byte_size schema in
+    if Bytes.length bytes < offset + size then
+      raise
+        (Parse_error
+           (Printf.sprintf "Header.extract(%s): buffer too short" (Header.schema_name schema)));
+    on_extract schema offset;
+    decide parser bytes on_extract state offset (offset + size) visits state.transition
+
+(* [start] is where [state]'s header begins, [offset] where it ends. *)
+and decide parser bytes on_extract state start offset visits = function
+  | Accept -> offset
+  | Goto s -> walk parser bytes on_extract s offset (visits + 1)
+  | Select (field, cases, default) -> (
+    match state.extracts with
+    | None -> raise (Parse_error "select without extraction")
+    | Some schema -> (
+      match List.assoc (Header.read_field schema field bytes start) cases with
+      | target -> walk parser bytes on_extract target offset (visits + 1)
+      | exception Not_found -> decide parser bytes on_extract state start offset visits default))
+
+let no_extract _ _ = ()
+
+let admit parser bytes = walk parser bytes no_extract "start" 0 0
+
+let run parser bytes =
+  let headers = ref [] in
+  let offset =
+    walk parser bytes
+      (fun schema off -> headers := fst (Header.extract schema bytes off) :: !headers)
+      "start" 0 0
+  in
   let payload = Bytes.sub bytes offset (Bytes.length bytes - offset) in
-  Packet.make ~payload (List.rev headers)
+  Packet.make ~payload (List.rev !headers)

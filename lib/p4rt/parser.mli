@@ -30,3 +30,9 @@ exception Parse_error of string
     input or a select value with no matching case and a [Goto] default
     that loops forever (cycles are cut after 64 state visits). *)
 val run : t -> Bytes.t -> Packet.t
+
+(** [admit parser bytes] walks the same graph as {!run} without building
+    anything and returns the offset where the payload starts.  It raises
+    [Parse_error] exactly when {!run} does (both share one walker) and
+    allocates nothing on success: the pipeline's admission check. *)
+val admit : t -> Bytes.t -> int

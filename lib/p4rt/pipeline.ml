@@ -1,11 +1,18 @@
 type instance_kind = Normal | Cloned | Resubmitted
 
+(* The packet is materialized only on demand: [pkt] is [None] until a
+   control block asks for [packet], and then holds the parse of the
+   current frame ([out] when set, else [ingress]).  [egress] is -1 while
+   unset. *)
 type ctx = {
-  mutable pkt : Packet.t;
+  parser : Parser.t;
+  ingress : Bytes.t;
+  mutable pkt : Packet.t option;
+  mutable out : Bytes.t option; (* raw output frame, emitted verbatim *)
   in_port : int;
   kind : instance_kind;
-  meta : (string, int) Hashtbl.t;
-  mutable egress : int option;
+  mutable meta : (string, int) Hashtbl.t option;
+  mutable egress : int;
   mutable dropped : bool;
   mutable clones : int list; (* clone sessions requested during ingress *)
   mutable wants_resubmit : bool;
@@ -48,27 +55,54 @@ let create ~name ~registers ~tables program =
 
 let name t = t.pipe_name
 
-let packet ctx = ctx.pkt
-let set_packet ctx pkt = ctx.pkt <- pkt
+let packet ctx =
+  match ctx.pkt with
+  | Some pkt -> pkt
+  | None ->
+    let frame = match ctx.out with Some b -> b | None -> ctx.ingress in
+    let pkt = Parser.run ctx.parser frame in
+    ctx.pkt <- Some pkt;
+    pkt
+
+let set_packet ctx pkt =
+  ctx.pkt <- Some pkt;
+  ctx.out <- None
+
+let ingress_bytes ctx = ctx.ingress
+
+let set_output ctx bytes =
+  ctx.out <- Some bytes;
+  ctx.pkt <- None
+
 let ingress_port ctx = ctx.in_port
 let instance ctx = ctx.kind
 
-let meta_get ctx key = Option.value (Hashtbl.find_opt ctx.meta key) ~default:0
-let meta_set ctx key v = Hashtbl.replace ctx.meta key v
+let meta_get ctx key =
+  match ctx.meta with
+  | None -> 0
+  | Some meta -> Option.value (Hashtbl.find_opt meta key) ~default:0
+
+let meta_set ctx key v =
+  match ctx.meta with
+  | Some meta -> Hashtbl.replace meta key v
+  | None ->
+    let meta = Hashtbl.create 8 in
+    Hashtbl.replace meta key v;
+    ctx.meta <- Some meta
 
 let set_egress ctx port =
-  ctx.egress <- Some port;
+  ctx.egress <- port;
   ctx.dropped <- false
 
-let egress_spec ctx = ctx.egress
+let egress_spec ctx = if ctx.egress < 0 then None else Some ctx.egress
 
 let mark_to_drop ctx =
   ctx.dropped <- true;
-  ctx.egress <- None
+  ctx.egress <- -1
 
 let clone ctx ~session = ctx.clones <- ctx.clones @ [ session ]
 let resubmit ctx = ctx.wants_resubmit <- true
-let digest ctx = ctx.digests <- ctx.digests @ [ ctx.pkt ]
+let digest ctx = ctx.digests <- ctx.digests @ [ packet ctx ]
 
 let register t reg_name =
   match Hashtbl.find_opt t.registers reg_name with
@@ -82,13 +116,16 @@ let table t table_name =
 
 let set_clone_session t ~session ~port = Hashtbl.replace t.clone_sessions session port
 
-let fresh_ctx pkt ~in_port ~kind =
+let fresh_ctx t ingress ~pkt ~out ~in_port ~kind ~egress =
   {
+    parser = t.program.prog_parser;
+    ingress;
     pkt;
+    out;
     in_port;
     kind;
-    meta = Hashtbl.create 8;
-    egress = None;
+    meta = None;
+    egress;
     dropped = false;
     clones = [];
     wants_resubmit = false;
@@ -104,6 +141,55 @@ let instance_name = function
   | Cloned -> "cloned"
   | Resubmitted -> "resubmitted"
 
+let no_outcome = { emissions = []; resubmitted = None; to_controller = [] }
+
+(* Egress for one copy of the packet; its digests are appended to the
+   ingress context's.  The emitted frame is the raw output when one was
+   set, else the deparsed packet. *)
+let run_egress t (ictx : ctx) ~kind ~port ~pkt ~out =
+  let ectx = fresh_ctx t ictx.ingress ~pkt ~out ~in_port:ictx.in_port ~kind ~egress:port in
+  t.program.prog_egress ectx;
+  ictx.digests <- ictx.digests @ ectx.digests;
+  if ectx.dropped || ectx.egress < 0 then None
+  else
+    let bytes = match ectx.out with Some b -> b | None -> Packet.serialize (packet ectx) in
+    Some { out_port = ectx.egress; bytes }
+
+let run_program t ~ingress_port ~instance bytes =
+  let ctx =
+    fresh_ctx t bytes ~pkt:None ~out:None ~in_port:ingress_port ~kind:instance ~egress:(-1)
+  in
+  t.program.prog_ingress ctx;
+  let resubmitted = if ctx.wants_resubmit then Some (packet ctx) else None in
+  (* Clones are snapshotted at the end of ingress, as with BMv2's clone3
+     from the ingress pipeline.  Each gets its own copy of a raw output,
+     so every emission owns its bytes. *)
+  let clone_jobs =
+    match ctx.clones with
+    | [] -> []
+    | sessions ->
+      List.filter_map
+        (fun session ->
+          match Hashtbl.find_opt t.clone_sessions session with
+          | Some port -> Some (port, ctx.pkt, Option.map Bytes.copy ctx.out)
+          | None -> None)
+        sessions
+  in
+  let main_emission =
+    if ctx.dropped || ctx.egress < 0 then None
+    else run_egress t ctx ~kind:ctx.kind ~port:ctx.egress ~pkt:ctx.pkt ~out:ctx.out
+  in
+  let emissions =
+    match clone_jobs with
+    | [] -> Option.to_list main_emission
+    | jobs ->
+      Option.to_list main_emission
+      @ List.filter_map
+          (fun (port, pkt, out) -> run_egress t ctx ~kind:Cloned ~port ~pkt ~out)
+          jobs
+  in
+  { emissions; resubmitted; to_controller = ctx.digests }
+
 let process t ~ingress_port ?(instance = Normal) bytes =
   let span =
     if Obs.Trace.enabled () then
@@ -116,63 +202,23 @@ let process t ~ingress_port ?(instance = Normal) bytes =
           ]
     else 0
   in
-  let finish (outcome : outcome) =
-    if span <> 0 then begin
-      if outcome.resubmitted <> None then Obs.Metrics.incr c_resubmits;
-      Obs.Metrics.incr c_digests ~by:(List.length outcome.to_controller);
-      Obs.Trace.span_end span
-        ~attrs:
-          [
-            Obs.Trace.int "emissions" (List.length outcome.emissions);
-            Obs.Trace.int "digests" (List.length outcome.to_controller);
-            ("resubmit", Obs.Json.Bool (outcome.resubmitted <> None));
-          ]
-    end
-    else begin
-      if outcome.resubmitted <> None then Obs.Metrics.incr c_resubmits;
-      Obs.Metrics.incr c_digests ~by:(List.length outcome.to_controller)
-    end;
-    outcome
+  let outcome =
+    match Parser.admit t.program.prog_parser bytes with
+    | exception Parser.Parse_error _ ->
+      Obs.Metrics.incr c_parse_errors;
+      no_outcome
+    | _ -> run_program t ~ingress_port ~instance bytes
   in
-  match Parser.run t.program.prog_parser bytes with
-  | exception Parser.Parse_error _ ->
-    Obs.Metrics.incr c_parse_errors;
-    finish { emissions = []; resubmitted = None; to_controller = [] }
-  | parsed ->
-    let ctx = fresh_ctx parsed ~in_port:ingress_port ~kind:instance in
-    t.program.prog_ingress ctx;
-    let resubmitted = if ctx.wants_resubmit then Some ctx.pkt else None in
-    (* Clones are snapshotted at the end of ingress, as with BMv2's
-       clone3 from the ingress pipeline. *)
-    let clone_jobs =
-      List.filter_map
-        (fun session ->
-          match Hashtbl.find_opt t.clone_sessions session with
-          | Some port -> Some (port, ctx.pkt)
-          | None -> None)
-        ctx.clones
-    in
-    let digests = ref ctx.digests in
-    let run_egress ~kind ~port pkt =
-      let ectx = fresh_ctx pkt ~in_port:ingress_port ~kind in
-      ectx.egress <- Some port;
-      t.program.prog_egress ectx;
-      digests := !digests @ ectx.digests;
-      if ectx.dropped then None
-      else
-        Option.map (fun p -> { out_port = p; bytes = Packet.serialize ectx.pkt }) ectx.egress
-    in
-    let main_emission =
-      match (ctx.dropped, ctx.egress) with
-      | true, _ | _, None -> None
-      | false, Some port -> run_egress ~kind:ctx.kind ~port ctx.pkt
-    in
-    let clone_emissions =
-      List.filter_map (fun (port, pkt) -> run_egress ~kind:Cloned ~port pkt) clone_jobs
-    in
-    finish
-      {
-        emissions = Option.to_list main_emission @ clone_emissions;
-        resubmitted;
-        to_controller = !digests;
-      }
+  if outcome.resubmitted <> None then Obs.Metrics.incr c_resubmits;
+  (match outcome.to_controller with
+   | [] -> ()
+   | digests -> Obs.Metrics.incr c_digests ~by:(List.length digests));
+  if span <> 0 then
+    Obs.Trace.span_end span
+      ~attrs:
+        [
+          Obs.Trace.int "emissions" (List.length outcome.emissions);
+          Obs.Trace.int "digests" (List.length outcome.to_controller);
+          ("resubmit", Obs.Json.Bool (outcome.resubmitted <> None));
+        ];
+  outcome

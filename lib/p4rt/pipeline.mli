@@ -4,7 +4,13 @@
 
     A program is a pair of control functions over a per-packet context.
     Registers and tables are created by the program author and registered
-    here so the control plane can reach them by name. *)
+    here so the control plane can reach them by name.
+
+    Admission walks the parse graph without building anything
+    ({!Parser.admit}); the boxed {!packet} and the metadata table are
+    built only when a control block asks for them.  A program that reads
+    the frame itself ({!ingress_bytes}) and writes its output frame
+    itself ({!set_output}) runs without either. *)
 
 type instance_kind = Normal | Cloned | Resubmitted
 
@@ -20,6 +26,8 @@ type program = {
 
 type t
 
+(** One emitted frame.  [bytes] is fresh for every emission (a raw
+    output or a deparsed packet) and belongs to the caller. *)
 type emission = { out_port : int; bytes : Bytes.t }
 
 type outcome = {
@@ -39,12 +47,33 @@ val name : t -> string
 
 (** {2 Context operations (for use inside control functions)} *)
 
+(** The packet as it stands: the parse of the raw output frame when one
+    is set, else of the ingress frame.  Parsed on first use and cached;
+    never called, never built. *)
 val packet : ctx -> Packet.t
+
+(** Replace the packet; egress deparses it.  Clears a raw output. *)
 val set_packet : ctx -> Packet.t -> unit
+
+(** The frame as it entered the pipeline (already admitted by the
+    parser).  Owned by the caller of {!process}: read it during the
+    control block, never keep it or emit it. *)
+val ingress_bytes : ctx -> Bytes.t
+
+(** [set_output ctx bytes] makes [bytes] the frame egress emits,
+    verbatim, with no deparse; it replaces the packet ({!packet} then
+    parses [bytes]).  Ownership: [bytes] must be fresh — not the ingress
+    frame, not shared with anything else — because it passes to the
+    caller of {!process} in {!emission}, which may recycle it once its
+    last delivery is done (the P4Update switch returns it to the wire
+    pool).  A clone of the packet emits its own copy. *)
+val set_output : ctx -> Bytes.t -> unit
+
 val ingress_port : ctx -> int
 val instance : ctx -> instance_kind
 
-(** Per-packet scratch metadata. *)
+(** Per-packet scratch metadata (the table is created on the first
+    [meta_set]; [meta_get] of an unset key is 0). *)
 val meta_get : ctx -> string -> int
 val meta_set : ctx -> string -> int -> unit
 
@@ -77,6 +106,8 @@ val set_clone_session : t -> session:int -> port:int -> unit
 (** {2 Execution} *)
 
 (** [process t ~ingress_port ?instance bytes] runs one packet through the
-    whole pipeline.  Parse errors yield an empty outcome (packet dropped),
-    as a real switch would discard a malformed frame. *)
+    whole pipeline.  Parse errors (the {!Parser.admit} verdict, counted
+    in [p4rt.parser.errors]) yield an empty outcome (packet dropped), as
+    a real switch would discard a malformed frame.  Traced runs open one
+    [p4rt/pipeline.process] span per call. *)
 val process : t -> ingress_port:int -> ?instance:instance_kind -> Bytes.t -> outcome

@@ -264,6 +264,27 @@ let test_control_latency_geo () =
   Alcotest.(check (float 0.001)) "geo latency" 5.0 (Netsim.control_latency_of net ~node:0);
   Alcotest.(check (float 0.001)) "geo latency 2" 7.0 (Netsim.control_latency_of net ~node:2)
 
+(* The waiting loop's resubmissions carry pooled frames: [?recycle] runs
+   once, after the re-injection was handled — or lost to a down node. *)
+let test_resubmit_recycles_after_delivery () =
+  let sim = Sim.create () in
+  let net = Netsim.create sim (line_topo ()) in
+  let log = ref [] in
+  Netsim.attach net ~node:1 (fun _ -> log := "handled" :: !log);
+  Netsim.resubmit ~recycle:(fun () -> log := "recycled" :: !log) net ~node:1
+    (Bytes.of_string "x");
+  Alcotest.(check (list string)) "held while scheduled" [] !log;
+  ignore (Sim.run sim);
+  Alcotest.(check (list string)) "recycled once, after the handler"
+    [ "handled"; "recycled" ] (List.rev !log);
+  log := [];
+  Netsim.fail_node net ~node:1 ~at:(Sim.now sim);
+  ignore (Sim.run sim);
+  Netsim.resubmit ~recycle:(fun () -> log := "recycled" :: !log) net ~node:1
+    (Bytes.of_string "y");
+  ignore (Sim.run sim);
+  Alcotest.(check (list string)) "a lost re-injection still recycles" [ "recycled" ] !log
+
 let suite =
   [
     Alcotest.test_case "port numbering" `Quick test_port_numbering;
@@ -279,6 +300,8 @@ let suite =
     Alcotest.test_case "control counters split by kind" `Quick test_control_kind_counters;
     Alcotest.test_case "link failure loses packets" `Quick test_link_failure_loses_packets;
     Alcotest.test_case "node failure silences node" `Quick test_node_failure_silences_node;
+    Alcotest.test_case "resubmit recycles after delivery" `Quick
+      test_resubmit_recycles_after_delivery;
     Alcotest.test_case "delivery observer" `Quick test_observer_sees_delivery;
     Alcotest.test_case "straggler distribution" `Quick test_straggler_distribution;
     Alcotest.test_case "geo control latency" `Quick test_control_latency_geo;

@@ -110,6 +110,69 @@ let test_parser_rejects_truncated () =
   Alcotest.(check bool) "truncated rejected" true
     (P4update.Wire.packet_of_bytes truncated = None)
 
+(* A parse graph exercising what Wire.parser does not: sub-byte fields
+   (the select nibble), a [Select] whose default is another [Select]
+   falling through to [Accept], a byte-consuming [Goto] loop back to
+   start, and a zero-byte [Goto] cycle that only the visit budget
+   stops. *)
+let nib_schema = Header.define ~name:"nib" [ ("kind", 4); ("flag", 4); ("len", 8) ]
+let opt_schema = Header.define ~name:"opt" [ ("a", 3); ("b", 5) ]
+
+let cyclic_parser =
+  Parser.create
+    [
+      {
+        Parser.state_name = "start";
+        extracts = Some nib_schema;
+        transition =
+          Select
+            ("kind", [ (1, "opt"); (2, "spin") ], Select ("flag", [ (3, "opt") ], Accept));
+      };
+      { Parser.state_name = "opt"; extracts = Some opt_schema; transition = Goto "start" };
+      { Parser.state_name = "spin"; extracts = None; transition = Goto "spin2" };
+      { Parser.state_name = "spin2"; extracts = None; transition = Goto "spin" };
+    ]
+
+let parse_verdict f =
+  match f () with n -> Some n | exception Parser.Parse_error _ -> None
+
+let prop_admit_matches_run =
+  (* Random frames, with the selector bytes biased toward the values the
+     two graphs branch on so every path is reached: Wire etypes at bytes
+     4-5, and the nib kind/flag nibbles at byte 0. *)
+  let gen =
+    QCheck.Gen.(
+      let* s = string_size ~gen:char (int_range 0 40) in
+      let* patch = int_bound 5 in
+      let b = Bytes.of_string s in
+      let len = Bytes.length b in
+      (match patch with
+       | 0 when len >= 6 -> Bytes.set_uint16_be b 4 P4update.Wire.etype_control
+       | 1 when len >= 6 -> Bytes.set_uint16_be b 4 P4update.Wire.etype_data
+       | 2 | 3 | 4 when len >= 1 ->
+         (* kind 1: opt loop; kind 2: spin cycle; kind 0, flag 3: the
+            nested select's case *)
+         let kind, flag =
+           match patch with
+           | 2 -> (1, Bytes.get_uint8 b 0 land 0xf)
+           | 3 -> (2, Bytes.get_uint8 b 0 land 0xf)
+           | _ -> (0, 3)
+         in
+         Bytes.set_uint8 b 0 ((kind lsl 4) lor flag)
+       | _ -> ());
+      return (Bytes.to_string b))
+  in
+  QCheck.Test.make ~name:"parser admission raises exactly when run does" ~count:1000
+    (QCheck.make ~print:String.escaped gen)
+    (fun s ->
+      let b = Bytes.of_string s in
+      List.for_all
+        (fun parser ->
+          parse_verdict (fun () -> Parser.admit parser b)
+          = parse_verdict (fun () ->
+                Bytes.length b - Bytes.length (Parser.run parser b).Packet.payload))
+        [ P4update.Wire.parser; cyclic_parser ])
+
 (* ------------------------------------------------------------------ *)
 (* Registers                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -269,6 +332,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_control_roundtrip;
     QCheck_alcotest.to_alcotest prop_data_roundtrip;
     Alcotest.test_case "parser rejects truncated" `Quick test_parser_rejects_truncated;
+    QCheck_alcotest.to_alcotest prop_admit_matches_run;
     Alcotest.test_case "register read/write" `Quick test_register_read_write;
     Alcotest.test_case "register bounds" `Quick test_register_bounds;
     Alcotest.test_case "table exact match" `Quick test_table_exact_match;

@@ -11,6 +11,10 @@
      return identical decode verdicts on arbitrary byte strings; the
      header byte layout matches the bit loops; encode + release
      allocates nothing in steady state.
+   - The switch's forwarding path: the frame a switch forwards is the
+     boxed Packet.update + serialize image; pooled frames are never
+     reused while a delivery of them is in flight; the minor words per
+     forwarded hop are pinned.
    - Determinism pins: the chaos delivery hashes, the mc final-state
      fingerprints on the default schedule and a trace JSONL digest are
      pinned to literals, so any change to event ordering — however
@@ -289,6 +293,144 @@ let test_codec_zero_alloc () =
     (Printf.sprintf "data encode+release %.4f words/frame < 1" data_words)
     true (data_words < 1.0)
 
+(* --- the switch's forwarding path ----------------------------------- *)
+
+module Sim = Dessim.Sim
+
+let line_net n =
+  let g = Topo.Graph.create n in
+  for i = 0 to n - 2 do
+    Topo.Graph.add_edge g ~u:i ~v:(i + 1) ~latency_ms:1.0 ~capacity:10.0
+  done;
+  let topo =
+    {
+      Topo.Topologies.name = "line";
+      kind = Topo.Topologies.Synthetic;
+      graph = g;
+      node_names = Array.init n string_of_int;
+      controller = 0;
+    }
+  in
+  let sim = Sim.create () in
+  let net = Netsim.create sim topo in
+  (sim, net, Array.init n (fun node -> P4update.Switch.create net ~node))
+
+(* Rules for [flow] along [path] (committed version 1, no reservation). *)
+let install_path net switches ~flow path =
+  let rec go = function
+    | [] -> ()
+    | [ last ] ->
+      P4update.Switch.install_initial switches.(last) ~flow_id:flow ~version:1 ~dist:0
+        ~egress_port:W.port_local ~notify_port:W.port_none ~size:0
+    | a :: (b :: _ as rest) ->
+      P4update.Switch.install_initial switches.(a) ~flow_id:flow ~version:1
+        ~dist:(List.length rest)
+        ~egress_port:(Netsim.port_of_neighbor net ~node:a ~neighbor:b)
+        ~notify_port:W.port_none ~size:0;
+      go rest
+  in
+  go path
+
+let prop_forward_image_equals_boxed =
+  (* Switch 1 of a 3-node line forwards a random data frame (0-8 trailing
+     payload bytes) toward node 2, arriving either on a link (tag kept)
+     or from the host (untagged, so the ingress stamps its tag).  The
+     frame node 2 receives must be the boxed path's image. *)
+  QCheck.Test.make ~name:"switch forward image = Packet.update + serialize" ~count:300
+    QCheck.(triple (int_bound 0x3FFFFFFF) (int_bound 8) bool)
+    (fun (seed, extra, from_host) ->
+      let nxt = field_drawer (seed + 1) in
+      let d = data_of_seed seed in
+      let d = { d with W.ttl = 2 + nxt 254; tag = (if from_host then 0 else d.W.tag) } in
+      let stamp = nxt 0x10000 in
+      let payload = Bytes.init extra (fun _ -> Char.chr (nxt 256)) in
+      let frame = Bytes.cat (W.data_to_bytes_boxed d) payload in
+      let sim, net, switches = line_net 3 in
+      let flow = d.W.d_flow_id land (W.flow_space - 1) in
+      install_path net switches ~flow [ 1; 2 ];
+      P4update.Uib.set_stamp_tag (P4update.Switch.uib switches.(1)) flow stamp;
+      let seen = ref [] in
+      Netsim.on_delivery net (fun _ node _ bytes ->
+          if node = 2 then seen := Bytes.copy bytes :: !seen);
+      if from_host then Netsim.host_inject net ~node:1 frame
+      else Netsim.transmit net ~from:0 ~port:0 frame;
+      ignore (Sim.run sim);
+      let tag = if from_host then stamp else d.W.tag in
+      let expected =
+        P4rt.Packet.serialize
+          (P4rt.Packet.update (P4rt.Parser.run W.parser frame) "data" (fun h ->
+               P4rt.Header.set (P4rt.Header.set h "ttl" (d.W.ttl - 1)) "tag" tag))
+      in
+      match !seen with [ got ] -> Bytes.equal got expected | _ -> false)
+
+(* Duplicate every data hop and delay every copy, so many forwarded
+   frames are in flight at once and the pool is churned hard: a frame
+   recycled before its last delivery would be overwritten by a later
+   probe and arrive as someone else's (flow, seq). *)
+let test_recycled_frames_not_reused_in_flight () =
+  let sim, net, switches = line_net 4 in
+  let flows = [| (11, [ 0; 1; 2; 3 ]); (12, [ 3; 2; 1; 0 ]) |] in
+  Array.iter (fun (flow, path) -> install_path net switches ~flow path) flows;
+  let rng = Random.State.make [| 7 |] in
+  let copy = ref false in
+  Netsim.set_data_fault net (fun ~from:_ ~to_:_ _ ->
+      (* Calls come in pairs per send: the original (duplicated), then
+         its copy (delayed). *)
+      copy := not !copy;
+      if !copy then Netsim.Duplicate else Netsim.Delay (Random.State.float rng 20.0));
+  let probes = 400 in
+  let arrivals = Array.make probes 0 and wrong = ref 0 in
+  Array.iter
+    (fun (flow, path) ->
+      let egress = List.nth path 3 in
+      P4update.Switch.on_deliver switches.(egress) (fun ~time:_ d ->
+          let seq = d.W.seq in
+          if seq < probes && fst flows.(seq mod 2) = flow && d.W.d_flow_id = flow
+             && d.W.origin = List.hd path && d.W.ttl = 64 - 3
+          then arrivals.(seq) <- arrivals.(seq) + 1
+          else incr wrong))
+    flows;
+  for seq = 0 to probes - 1 do
+    let flow, path = flows.(seq mod 2) in
+    let src = List.hd path in
+    let d =
+      { W.d_flow_id = flow; seq; ttl = 64; origin = src; dst = List.nth path 3; tag = 0;
+        d_ts = 0 }
+    in
+    Sim.schedule sim ~delay:(0.05 *. float_of_int seq) (fun () ->
+        let b = W.data_to_bytes d in
+        Netsim.host_inject ~recycle:(W.recycle_thunk b) net ~node:src b)
+  done;
+  ignore (Sim.run sim);
+  Alcotest.(check int) "no frame arrived as another probe" 0 !wrong;
+  (* Three duplicated link hops: 2^3 copies of every probe. *)
+  Array.iteri
+    (fun seq n -> if n <> 8 then Alcotest.failf "probe %d arrived %d times, expected 8" seq n)
+    arrivals
+
+(* Minor words allocated per forwarded data hop: one probe crosses an
+   8-node line (7 link hops: decode, copy-and-patch, transmit, deliver)
+   and is delivered at the far end; the total is divided by the hops. *)
+let words_per_hop () =
+  let n = 8 in
+  let sim, net, switches = line_net n in
+  install_path net switches ~flow:5 (List.init n Fun.id);
+  let d = { W.d_flow_id = 5; seq = 0; ttl = 64; origin = 0; dst = n - 1; tag = 0; d_ts = 0 } in
+  let probe () =
+    P4update.Switch.inject_data switches.(0) d;
+    ignore (Sim.run sim)
+  in
+  minor_words_per_op ~ops:2_000 probe /. float_of_int (n - 1)
+
+let test_hop_allocation_pinned () =
+  (* Measured 150.1 words/hop (OCaml 5.x, x86-64), about 106 of them in
+     Netsim's transmit + delivery; the bound leaves 20% headroom.  The
+     boxed hop this replaced (parse graph per hop, Packet.update + two
+     Header.set copies + serialize) measured 512.3 on the same probe. *)
+  let w = words_per_hop () in
+  Alcotest.(check bool) (Printf.sprintf "%.1f minor words per forwarded hop < 180" w) true
+    (w < 180.0)
+
 (* --- determinism pins ----------------------------------------------- *)
 
 (* Chaos delivery hashes: scenario x seed -> r_trace_hash.  These came
@@ -421,6 +563,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_header_bytes_equal_bits;
     Alcotest.test_case "pooled codec allocates nothing per frame" `Quick
       test_codec_zero_alloc;
+    QCheck_alcotest.to_alcotest prop_forward_image_equals_boxed;
+    Alcotest.test_case "recycled frames are never reused in flight" `Quick
+      test_recycled_frames_not_reused_in_flight;
+    Alcotest.test_case "forwarded hop allocation pinned" `Quick test_hop_allocation_pinned;
     Alcotest.test_case "chaos delivery hashes pinned" `Slow test_chaos_pins;
     Alcotest.test_case "mc fingerprints pinned" `Quick test_mc_pins;
     Alcotest.test_case "trace digest pinned" `Quick test_trace_digest;
