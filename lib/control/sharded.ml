@@ -6,7 +6,8 @@
    - re-points the network's single control-channel handler at a router
      that parses each FRM/UFM once and dispatches to the owning shard's
      [Controller.handle] (UFMs to the shard holding the flow, FRMs to
-     the shard owning the reporting flow's source);
+     the shard owning the reporting flow's source, unless another shard
+     already holds the reported id);
 
    - routes prepare/push/abort/retire calls the same way, so every
      replica only ever touches its own Flow DB slice;
@@ -20,11 +21,8 @@
      A cross-domain path whose flow just rode a DL update takes the
      §7.5 default (SL), which is globally verifiable hop-by-hop anyway.
 
-   Preparation across shards is embarrassingly parallel — [prepare] is a
-   pure function of the paths touching only shard-local state once the
-   static port index is built — so large batches fan out over OCaml 5
-   domains when tracing is off (the trace sink is global mutable state).
-   Results are identical to the sequential path. *)
+   A batch is prepared shard slice by shard slice in the calling domain,
+   each slice in request order. *)
 
 module C = P4update.Controller
 module Wire = P4update.Wire
@@ -65,10 +63,13 @@ let route t ~from bytes =
     in
     Shard.note_routed t.sd_shards.(owner);
     C.handle (controller t owner) ~from bytes
-  | Some c when c.Wire.kind = Wire.Frm ->
+  | Some c when c.Wire.kind = Wire.Frm -> (
     let owner = owner_of_node t c.Wire.src_node in
     Shard.note_routed t.sd_shards.(owner);
-    C.handle (controller t owner) ~from bytes
+    (* Ids share one wire space: a flow another shard holds is not new. *)
+    match owner_of_flow t ~flow_id:c.Wire.flow_id with
+    | Some i when i <> owner -> ()
+    | Some _ | None -> C.handle (controller t owner) ~from bytes)
   | Some _ | None -> ()
 
 let install_router t = Netsim.set_controller t.sd_net (route t)
@@ -87,9 +88,16 @@ let create net partition =
 
 (* {2 Flow DB operations} *)
 
+(* Flow ids share one wire space across replicas, so an id any shard
+   holds is taken. *)
 let register_flow ?version ?flow_id t ~src ~dst ~size ~path =
+  let flow_id =
+    match flow_id with Some id -> id | None -> C.flow_id_of_pair ~src ~dst
+  in
+  if owner_of_flow t ~flow_id <> None then
+    invalid_arg (Printf.sprintf "Sharded.register_flow: flow id %d is taken" flow_id);
   let ctrl = controller t (owner_of_node t src) in
-  C.register_flow ?version ?flow_id ctrl ~src ~dst ~size ~path
+  C.register_flow ?version ~flow_id ctrl ~src ~dst ~size ~path
 
 let find_flow t ~flow_id =
   let k = shard_count t in
@@ -147,55 +155,25 @@ let prepare t ~flow_id ~new_path ?update_type () =
   note_prepare shard ~cross;
   p
 
-(* Below this many requests the Domain fan-out overhead dominates. *)
-let parallel_threshold = 128
-
-let prepare_shard_slice t shard items =
-  (* items: (original index, flow_id, new_path), in request order.  Pure
-     per-shard work — safe both sequentially and inside a Domain. *)
-  List.map
-    (fun (idx, flow_id, new_path) ->
-      let p, cross = prepare_on t shard ~flow_id ~new_path () in
-      (idx, p, cross))
-    items
-
 let prepare_batch t requests =
-  let k = shard_count t in
-  let n = List.length requests in
-  let per_shard = Array.make k [] in
+  let per_shard = Array.make (shard_count t) [] in
   List.iteri
     (fun idx (flow_id, new_path) ->
       let owner = owner_or_fail t ~flow_id ~what:"prepare_batch" in
       per_shard.(owner) <- (idx, flow_id, new_path) :: per_shard.(owner))
     requests;
-  let per_shard = Array.map List.rev per_shard in
-  let slices =
-    if n >= parallel_threshold && k > 1 && not (Obs.Trace.enabled ()) then begin
-      (* Pre-build each replica's static port index in the main domain —
-         the build reads shared Netsim tables; after it, preparation
-         touches only shard-local state. *)
-      Array.iter (fun sh -> ignore (C.prepare_batch (Shard.controller sh) [])) t.sd_shards;
-      Array.mapi
-        (fun i items ->
-          let sh = t.sd_shards.(i) in
-          Domain.spawn (fun () -> prepare_shard_slice t sh items))
-        per_shard
-      |> Array.map Domain.join
-    end
-    else
-      Array.mapi (fun i items -> prepare_shard_slice t t.sd_shards.(i) items) per_shard
-  in
-  (* Stitch slices back into request order; count in the main domain. *)
-  let out = Array.make n None in
+  (* Prepare slice by slice, then stitch back into request order. *)
+  let out = Array.make (List.length requests) None in
   Array.iteri
-    (fun i slice ->
+    (fun i items ->
       let sh = t.sd_shards.(i) in
       List.iter
-        (fun (idx, p, cross) ->
+        (fun (idx, flow_id, new_path) ->
+          let p, cross = prepare_on t sh ~flow_id ~new_path () in
           note_prepare sh ~cross;
           out.(idx) <- Some p)
-        slice)
-    slices;
+        (List.rev items))
+    per_shard;
   Array.to_list out |> List.filter_map Fun.id
 
 (* {2 Update execution} *)

@@ -7,9 +7,8 @@
     routes prepare/push/abort calls the same way, and stitches
     cross-domain updates with DL labels (forced dual-layer when Thm. 4
     allows) so the §4 version-downgrade rules at DL segment gateways are
-    the inter-shard consistency contract.  Large [prepare_batch] calls
-    fan out across OCaml 5 domains when tracing is off; results are
-    identical to the sequential path. *)
+    the inter-shard consistency contract.  Everything runs in the calling
+    domain. *)
 
 type t
 
@@ -37,6 +36,8 @@ val register_flow :
   size:int ->
   path:int list ->
   P4update.Controller.flow
+(** Registers with the shard owning [src].  Raises [Invalid_argument]
+    when any shard already holds the id: ids share one wire space. *)
 
 val find_flow : t -> flow_id:int -> P4update.Controller.flow option
 val flows : t -> P4update.Controller.flow list
@@ -56,8 +57,8 @@ val prepare :
 val prepare_batch :
   t -> (int * int list) list -> P4update.Controller.prepared list
 (** Per-request routing + stitching as {!prepare}; results in request
-    order.  Batches of ≥ 128 requests prepare shard-slices in parallel
-    OCaml domains when the trace sink is disabled. *)
+    order.  Shard slices are prepared one after another (shard 0 first),
+    each slice in request order. *)
 
 val push : t -> P4update.Controller.prepared -> unit
 

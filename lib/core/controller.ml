@@ -84,6 +84,9 @@ let retrigger_budget = 3
 
 let net t = t.net
 
+let flow_id_of_pair ~src ~dst =
+  Topo.Traffic.flow_id_of_pair ~src ~dst land (Wire.flow_space - 1)
+
 let register_flow ?(version = 1) ?flow_id t ~src ~dst ~size ~path =
   let flow_id =
     match flow_id with
@@ -91,10 +94,12 @@ let register_flow ?(version = 1) ?flow_id t ~src ~dst ~size ~path =
       if id < 0 || id >= Wire.flow_space then
         invalid_arg "Controller.register_flow: flow id out of flow space";
       id
-    | None -> Topo.Traffic.flow_id_of_pair ~src ~dst land (Wire.flow_space - 1)
+    | None -> flow_id_of_pair ~src ~dst
   in
+  if Hashtbl.mem t.flow_db flow_id then
+    invalid_arg (Printf.sprintf "Controller.register_flow: flow id %d is taken" flow_id);
   let flow = { flow_id; src; dst; size; version; path; last_type = Wire.Sl } in
-  Hashtbl.replace t.flow_db flow_id flow;
+  Hashtbl.add t.flow_db flow_id flow;
   flow
 
 let set_auto_route t enabled = t.auto_route <- enabled
@@ -651,12 +656,12 @@ let route_new_flow t (c : Wire.control) =
     match Topo.Graph.shortest_path graph ~src ~dst with
     | None -> ()
     | Some path ->
-      let flow = register_flow ~version:0 t ~src ~dst ~size:default_flow_size ~path in
-      if flow.flow_id = c.flow_id then
+      (* An id that is not this pair's: the FRM did not come from this
+         (src, dst) pair, and whatever flow holds the pair's id stays. *)
+      if flow_id_of_pair ~src ~dst = c.flow_id then begin
+        let flow = register_flow ~version:0 t ~src ~dst ~size:default_flow_size ~path in
         ignore (update_flow t ~flow_id:flow.flow_id ~new_path:path ~update_type:Wire.Sl ())
-      else
-        (* hash mismatch: the FRM did not come from this (src, dst) pair *)
-        Hashtbl.remove t.flow_db flow.flow_id
+      end
 
 (* §11 failure handling: re-push the indications of a timed-out update so
    the egress regenerates the notification chain. *)

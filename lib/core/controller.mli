@@ -58,14 +58,19 @@ val net : t -> Netsim.t
 
 (** {2 Flow DB} *)
 
+(** [flow_id_of_pair ~src ~dst] is the id a flow of that pair gets when
+    registered without an explicit id: {!Topo.Traffic.flow_id_of_pair}
+    masked into {!Wire.flow_space}.  Distinct pairs can share an id. *)
+val flow_id_of_pair : src:int -> dst:int -> int
+
 (** [register_flow t ~src ~dst ~size ~path] adds a flow (version 1 by
     default, assumed already installed in the data plane, e.g. via
     {!Switch.install_initial}).  Returns the flow record.  The flow id is
-    {!Topo.Traffic.flow_id_of_pair} masked into {!Wire.flow_space} unless
-    [?flow_id] overrides it — the intent bridge uses the override to give
-    each ECMP member of one (src, dst) pair its own flow identity.
-    Raises [Invalid_argument] when an explicit id falls outside the flow
-    space. *)
+    {!flow_id_of_pair} unless [?flow_id] overrides it — the intent bridge
+    uses the override to give each ECMP member of one (src, dst) pair its
+    own flow identity.  Raises [Invalid_argument] when an explicit id
+    falls outside the flow space or when the id is already registered
+    (an existing flow is never replaced). *)
 val register_flow :
   ?version:int ->
   ?flow_id:int ->

@@ -25,7 +25,9 @@
    bucket after a re-tune — would degrade dequeue to O(n).  When a
    re-tune detects such a shape the queue migrates its entries (with
    their already-issued seqs, via [Event_heap.push_seq]) into a private
-   [Event_heap] and delegates from then on.  The switch is
+   [Event_heap] and delegates from then on, still issuing seqs from its
+   own counter: the heap's would restart after the highest pending seq
+   and hand out again seqs of events already popped.  The switch is
    content-determined and order-preserving, so it is invisible except in
    cost. *)
 
@@ -212,11 +214,11 @@ let rebuild q nbuckets =
 (* ---- the queue -------------------------------------------------------- *)
 
 let push ?tag q ~time payload =
+  let seq = q.next_seq in
+  q.next_seq <- seq + 1;
   match q.fallback with
-  | Some h -> Event_heap.push ?tag h ~time payload
+  | Some h -> Event_heap.push_seq ?tag h ~time ~seq payload
   | None ->
-    let seq = q.next_seq in
-    q.next_seq <- seq + 1;
     (match tag with None -> () | Some t -> Hashtbl.replace q.tag_table seq t);
     let epoch = epoch_of q time in
     bucket_add

@@ -14,8 +14,8 @@
 
    Everything random is drawn from the world's simulation RNG, so a
    [Run_config.seed] fully determines the workload, the event schedule
-   and therefore every reported number except the wall-clock-derived
-   throughputs. *)
+   and therefore every reported number except the two wall-clock rates
+   (events/s and updates/s of [World.run]). *)
 
 module Sim = Dessim.Sim
 module Graph = Topo.Graph
@@ -59,7 +59,6 @@ type result = {
   sr_events : int;
   sr_events_per_s : float;        (* kernel dispatch rate (wall clock) *)
   sr_updates_per_s : float;       (* completed updates per wall second *)
-  sr_prep_per_s : float;          (* preparation throughput (see below) *)
   sr_violations : Invariants.violation list;
   sr_series : Obs.Timeseries.window list; (* rolling SLO windows *)
 }
@@ -113,66 +112,6 @@ let admit w g ~n ~size =
   let src, dst, paths = draw_pair w g ~n in
   let flow = World.install_flow w ~src ~dst ~size ~path:paths.(0) in
   { flow_id = flow.P4update.Controller.flow_id; paths; cur = 0 }
-
-(* ---- preparation re-timing ------------------------------------------- *)
-
-(* Time [prepare_batch] over a request slice without mutating the world
-   it measures: a throwaway single-controller [World] is built on the
-   same topology, the slice's flows are re-registered into it at their
-   current paths, and the timing loop hammers the clone's controller.
-   The caller's controller state (fingerprint) is untouched. *)
-let retime_slice (w : World.t) topo requests =
-  let clone = World.make ~seed:0 topo in
-  List.iter
-    (fun (flow_id, _) ->
-      match World.find_flow w ~flow_id with
-      | Some f ->
-        ignore
-          (World.install_flow clone ~flow_id:f.P4update.Controller.flow_id
-             ~src:f.P4update.Controller.src
-             ~dst:f.P4update.Controller.dst ~size:f.P4update.Controller.size
-             ~path:f.P4update.Controller.path)
-      | None -> ())
-    requests;
-  let batch = List.length requests in
-  if batch = 0 then 0.0
-  else begin
-    let reps = ref 0 in
-    let started = Dessim.Wallclock.now_s () in
-    let elapsed () = Dessim.Wallclock.elapsed_s ~since:started in
-    while elapsed () < 0.2 do
-      ignore (P4update.Controller.prepare_batch clone.World.controller requests);
-      incr reps
-    done;
-    float_of_int (!reps * batch) /. elapsed ()
-  end
-
-(* At shards=1 this is the old whole-world re-time.  At shards>1 it is
-   shard-aware: one throwaway clone per shard carrying only the Flow DB
-   slice that shard owns (cloning every slice into every replica copied
-   quadratically in shard count), each replica's prep loop timed in
-   isolation, and the aggregate is the sum of per-replica rates — the
-   sustained capacity of k controllers each running on its own machine.
-   Clones are built sequentially in the calling domain (World.make sets
-   the global trace clock). *)
-let retime_prep (w : World.t) requests =
-  let topo = Netsim.topology w.World.net in
-  match w.World.partition with
-  | None -> retime_slice w topo requests
-  | Some pt ->
-    let k = Control.Partition.domains pt in
-    let per_shard = Array.make k [] in
-    List.iter
-      (fun ((flow_id, _) as req) ->
-        match World.find_flow w ~flow_id with
-        | Some f ->
-          let d = Control.Partition.domain_of pt f.P4update.Controller.src in
-          per_shard.(d) <- req :: per_shard.(d)
-        | None -> ())
-      requests;
-    Array.fold_left
-      (fun acc reqs -> acc +. retime_slice w topo (List.rev reqs))
-      0.0 per_shard
 
 (* ---- the engine ------------------------------------------------------ *)
 
@@ -249,8 +188,6 @@ let run ?(workload = default_workload) ?hooks (cfg : Run_config.t) topo =
   let underfilled = ref 0 in
   let churned = ref 0 in
   let probes = ref 0 in
-  let prep_s = ref 0.0 in
-  let prepared_n = ref 0 in
   let push_prepared prepared =
     let now = Sim.now w.World.sim in
     List.iter
@@ -263,14 +200,9 @@ let run ?(workload = default_workload) ?hooks (cfg : Run_config.t) topo =
       prepared
   in
   (* One intent burst: drain/undrain or TE-sweep event, incrementally
-     recompiled and lowered into one correlated batch.  The timing span
-     covers compile + lowering + preparation — for intent workloads the
-     recompile IS part of the preparation cost. *)
+     recompiled and lowered into one correlated batch. *)
   let intent_burst ic =
-    let started = Dessim.Wallclock.now_s () in
     let prepared = Intent_churn.burst ic in
-    prep_s := !prep_s +. Dessim.Wallclock.elapsed_s ~since:started;
-    prepared_n := !prepared_n + List.length prepared;
     if prepared = [] then incr underfilled;
     push_prepared prepared;
     incr bursts;
@@ -307,11 +239,7 @@ let run ?(workload = default_workload) ?hooks (cfg : Run_config.t) topo =
           (s.flow_id, s.paths.(s.cur)))
         !picked
     in
-    let started = Dessim.Wallclock.now_s () in
-    let prepared = Control.Plane.prepare_batch w.World.plane requests in
-    prep_s := !prep_s +. Dessim.Wallclock.elapsed_s ~since:started;
-    prepared_n := !prepared_n + List.length prepared;
-    push_prepared prepared;
+    push_prepared (Control.Plane.prepare_batch w.World.plane requests);
     incr bursts;
     (* Flow churn: one randomly chosen slot retires (its flow keeps its
        installed final state, harmlessly) and a fresh pair is admitted. *)
@@ -346,32 +274,6 @@ let run ?(workload = default_workload) ?hooks (cfg : Run_config.t) topo =
   let samples = !completions in
   let p50 = Option.value ~default:0.0 (Stats.percentile_opt 50.0 samples) in
   let p99 = Option.value ~default:0.0 (Stats.percentile_opt 99.0 samples) in
-  (* Preparation throughput: the in-run timing deltas are too coarse to
-     divide by when each burst prepares in microseconds, so fall back to
-     re-timing batch preparation.  The timing loop must not touch the
-     live world — repeated [prepare_batch] calls against the post-run
-     controller would grow its prepare cache and advance prepared
-     versions purely for measurement — so it runs against a throwaway
-     clone carrying the same flows ({!retime_prep}). *)
-  let requests =
-    match ic with
-    | Some _ ->
-      (* Intent mode has no rotation slots; re-time preparation over the
-         live member flows at their current paths. *)
-      List.map
-        (fun (f : P4update.Controller.flow) ->
-          (f.P4update.Controller.flow_id, f.P4update.Controller.path))
-        (World.flows w)
-    | None ->
-      Array.to_list
-        (Array.map
-           (fun s -> (s.flow_id, s.paths.((s.cur + 1) mod Array.length s.paths)))
-           slots)
-  in
-  let prep_per_s =
-    if !prep_s > 0.01 then float_of_int !prepared_n /. !prep_s
-    else retime_prep w requests
-  in
   Observe.finish_series cfg w.World.sim series;
   {
     sr_topology = topo.Topo.Topologies.name;
@@ -393,7 +295,6 @@ let run ?(workload = default_workload) ?hooks (cfg : Run_config.t) topo =
     sr_updates_per_s =
       (if stats.Sim.st_wall_s > 0.0 then float_of_int !completed /. stats.Sim.st_wall_s
        else 0.0);
-    sr_prep_per_s = prep_per_s;
     sr_violations = Invariants.violations monitor;
     sr_series = Obs.Timeseries.windows series;
   }
@@ -402,8 +303,7 @@ let pp ppf r =
   Format.fprintf ppf
     "@[<v>%s: %d/%d updates completed in %d bursts (%d underfilled, %.1f ms simulated)@,\
      completion p50 %.2f ms  p99 %.2f ms   churned %d  probes %d  violations %d@,\
-     kernel: %d events, %.0f events/s   %.0f updates/s   prep %.0f updates/s@]"
+     kernel: %d events, %.0f events/s   %.0f updates/s@]"
     r.sr_topology r.sr_updates_completed r.sr_updates_pushed r.sr_bursts r.sr_underfilled
     r.sr_sim_ms r.sr_p50_ms r.sr_p99_ms r.sr_churned r.sr_probes
     (List.length r.sr_violations) r.sr_events r.sr_events_per_s r.sr_updates_per_s
-    r.sr_prep_per_s

@@ -47,7 +47,6 @@ type result = {
   sr_events : int;
   sr_events_per_s : float;       (** kernel dispatch rate (monotonic wall clock) *)
   sr_updates_per_s : float;      (** completed updates per wall second *)
-  sr_prep_per_s : float;         (** controller preparation throughput *)
   sr_violations : Invariants.violation list;
   sr_series : Obs.Timeseries.window list;
       (** rolling SLO windows (one per [Run_config.tick_ms], default 1 s
@@ -75,19 +74,11 @@ val no_hooks : hooks
     updates). *)
 val alt_paths : Topo.Graph.t -> src:int -> dst:int -> int list array option
 
-(** [retime_prep w requests] measures [prepare_batch] throughput
-    (updates/s) for [requests] without touching [w]'s control plane: the
-    timing loops run against throwaway clone worlds.  At shards=1 one
-    clone carries all the flows; at shards>1 each shard gets its own
-    clone carrying {e only} the Flow DB slice it owns (never the other
-    replicas' slices), its prep loop is timed in isolation, and the
-    result is the sum of per-replica rates — the sustained capacity of k
-    controllers each running on its own machine. *)
-val retime_prep : World.t -> (int * int list) list -> float
-
 (** [run ?workload ?hooks cfg topo] executes the workload on [topo],
     seeded from [cfg.Run_config.seed].  Deterministic except for the
-    wall-clock throughput fields. *)
+    wall-clock throughput fields.  Controller preparation is not timed
+    here: [bench shard] times {!Control.Plane.prepare_batch} on a world
+    it builds itself. *)
 val run :
   ?workload:workload -> ?hooks:(World.t -> hooks) -> Run_config.t ->
   Topo.Topologies.t -> result

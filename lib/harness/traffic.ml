@@ -485,8 +485,7 @@ let run_scale ?scale_workload ?(workload = default_workload) (cfg : Run_config.t
   match !engine with
   | Some t ->
     (* Price packets over the audited run only: the kernel's own wall
-       time inside [World.run] plus the final drain, not world setup or
-       [Scale.run]'s preparation re-timing. *)
+       time inside [World.run] plus the final drain, not world setup. *)
     let started = Dessim.Wallclock.now_s () in
     drain t;
     let drain_s = Dessim.Wallclock.elapsed_s ~since:started in

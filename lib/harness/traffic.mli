@@ -118,7 +118,7 @@ val finalize : ?wall_s:float -> t -> summary
     [workload], both seeded from [cfg].  Returns the scale result and
     the traffic audit.  [ts_wall_s] (and so [ts_pkts_per_s]) covers the
     audited run only: the kernel's wall time inside [World.run] plus the
-    final drain, excluding world setup and preparation re-timing. *)
+    final drain, excluding world setup. *)
 val run_scale :
   ?scale_workload:Scale.workload -> ?workload:workload -> Run_config.t ->
   Topo.Topologies.t -> Scale.result * summary

@@ -66,10 +66,7 @@ let make ?seed ?config ?kernel:(_ : Run_config.kernel option) ?(shards = 1) ?(fl
 let find_flow w ~flow_id = Control.Plane.find_flow w.plane ~flow_id
 
 let flow_of_pair w ~src ~dst =
-  let flow_id =
-    Topo.Traffic.flow_id_of_pair ~src ~dst land (P4update.Wire.flow_space - 1)
-  in
-  find_flow w ~flow_id
+  find_flow w ~flow_id:(P4update.Controller.flow_id_of_pair ~src ~dst)
 
 let flows w =
   List.sort

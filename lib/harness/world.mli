@@ -48,7 +48,8 @@ val make :
     of [path].  Returns the flow record.  [?flow_id] overrides the
     pair-derived id (see {!P4update.Controller.register_flow}); the
     intent bridge needs it so ECMP members of one pair get distinct
-    identities. *)
+    identities.  Raises [Invalid_argument], before any switch state is
+    written, when the id is already registered. *)
 val install_flow :
   ?flow_id:int ->
   t ->
@@ -62,8 +63,8 @@ val install_flow :
 val find_flow : t -> flow_id:int -> P4update.Controller.flow option
 
 (** [flow_of_pair w ~src ~dst] finds the flow installed for that pair
-    (the id is {!Topo.Traffic.flow_id_of_pair} masked into the flow
-    space, the same derivation {!install_flow} uses). *)
+    (the id is {!P4update.Controller.flow_id_of_pair}, the derivation
+    {!install_flow} uses). *)
 val flow_of_pair : t -> src:int -> dst:int -> P4update.Controller.flow option
 
 (** All flows in the controller's DB, sorted by id. *)

@@ -251,6 +251,73 @@ let test_shard_counts_distinct () =
   Alcotest.(check bool) "shards=2 differs from shards=1" true (fp 2 <> fp 1);
   Alcotest.(check bool) "shards=4 differs from shards=2" true (fp 4 <> fp 2)
 
+(* --- flow-id collisions ---------------------------------------------- *)
+
+(* Two (src, dst) pairs whose masked hashes collide, sources in different
+   domains at shards = 2: the second install must raise before it writes
+   any switch state, at every shard count, leaving the first flow whole.
+   Traffic for the shared id entering at the second pair's source (off
+   the first flow's path) raises an FRM, which must not register the id
+   a second time either. *)
+let test_colliding_pairs_rejected () =
+  let topo = Topologies.attmpls () in
+  let g = topo.Topologies.graph in
+  let n = Graph.node_count g in
+  let pt = Option.get (World.make ~seed:7 ~shards:2 topo).World.partition in
+  let id (s, d) = P4update.Controller.flow_id_of_pair ~src:s ~dst:d in
+  let path (s, d) = Option.get (Graph.shortest_path g ~src:s ~dst:d) in
+  let pairs =
+    List.concat (List.init n (fun s -> List.init n (fun d -> (s, d))))
+    |> List.filter (fun (s, d) -> s <> d)
+  in
+  let a, b =
+    List.find_map
+      (fun a ->
+        List.find_opt
+          (fun b ->
+            a < b && id a = id b
+            && Partition.domain_of pt (fst a) <> Partition.domain_of pt (fst b)
+            && not (List.mem (fst b) (path a)))
+          pairs
+        |> Option.map (fun b -> (a, b)))
+      pairs
+    |> Option.get
+  in
+  List.iter
+    (fun shards ->
+      let w = World.make ~seed:7 ~shards topo in
+      let first =
+        World.install_flow w ~src:(fst a) ~dst:(snd a) ~size:100 ~path:(path a)
+      in
+      let plane_fp = Plane.fingerprint w.World.plane in
+      let switch_fp = Array.map P4update.Switch.fingerprint w.World.switches in
+      (match World.install_flow w ~src:(fst b) ~dst:(snd b) ~size:100 ~path:(path b) with
+       | _ -> Alcotest.failf "colliding install accepted at shards=%d" shards
+       | exception Invalid_argument _ -> ());
+      let at = Printf.sprintf " at shards=%d" shards in
+      let check_unchanged what =
+        Alcotest.(check bool) ("first flow's record kept" ^ what ^ at) true
+          (World.flows w = [ first ]);
+        Alcotest.(check int) ("plane fingerprint unchanged" ^ what ^ at) plane_fp
+          (Plane.fingerprint w.World.plane);
+        (* the FRM's ingress remembers that it reported; no other switch
+           may change *)
+        let others fps = Array.mapi (fun i fp -> if i = fst b then 0 else fp) fps in
+        Alcotest.(check (array int)) ("switch fingerprints unchanged" ^ what ^ at)
+          (others switch_fp)
+          (others (Array.map P4update.Switch.fingerprint w.World.switches))
+      in
+      check_unchanged "";
+      let reports () = (Netsim.counters w.World.net).Netsim.control_to_controller in
+      let reports_before = reports () in
+      P4update.Switch.inject_data w.World.switches.(fst b)
+        { P4update.Wire.d_flow_id = id b; seq = 0; ttl = 64; origin = fst b;
+          dst = snd b; tag = 0; d_ts = 0 };
+      ignore (World.run w);
+      Alcotest.(check int) ("one FRM sent" ^ at) (reports_before + 1) (reports ());
+      check_unchanged " after the FRM")
+    [ 1; 2 ]
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -264,4 +331,6 @@ let suite =
         test_fingerprint_determinism;
       Alcotest.test_case "shard counts produce distinct planes" `Quick
         test_shard_counts_distinct;
+      Alcotest.test_case "colliding flow ids rejected at shards 1/2" `Quick
+        test_colliding_pairs_rejected;
     ]

@@ -111,6 +111,28 @@ let test_reports_and_alarms () =
   Alcotest.(check int) "no alarms on a clean run" 0 (Controller.alarm_count ctl);
   Alcotest.(check bool) "report log kept" true (Controller.reports ctl <> [])
 
+(* An FRM whose flow id is not its (src, dst) pair's id came from some
+   other flow: the controller must neither route it nor touch the flow
+   that holds the pair's id. *)
+let test_frm_keeps_unrelated_flow () =
+  let w = Harness.World.make (Topo.Topologies.fig1 ()) in
+  let g = (Netsim.topology w.net).Topo.Topologies.graph in
+  let path = Option.get (Topo.Graph.shortest_path g ~src:0 ~dst:4) in
+  let flow = Harness.World.install_flow w ~src:0 ~dst:4 ~size:100 ~path in
+  let stranger = (flow.Controller.flow_id + 1) land (Wire.flow_space - 1) in
+  let switches () = Array.map Switch.fingerprint w.switches in
+  let before = switches () in
+  Controller.handle w.controller ~from:0
+    (Wire.control_to_bytes
+       { (Wire.control_default Wire.Frm) with
+         Wire.flow_id = stranger; dist_new = 4; src_node = 0 });
+  ignore (Harness.World.run w);
+  Alcotest.(check bool) "pair's flow still registered" true
+    (Controller.find_flow w.controller ~flow_id:flow.Controller.flow_id = Some flow);
+  Alcotest.(check bool) "unknown flow not registered" true
+    (Controller.find_flow w.controller ~flow_id:stranger = None);
+  Alcotest.(check (array int)) "switch state unchanged" before (switches ())
+
 let suite =
   [
     Alcotest.test_case "flow DB" `Quick test_flow_db;
@@ -119,4 +141,6 @@ let suite =
     Alcotest.test_case "policy boundaries (SS7.5)" `Quick test_policy_boundaries;
     Alcotest.test_case "policy threshold" `Quick test_policy_threshold;
     Alcotest.test_case "reports and alarms" `Quick test_reports_and_alarms;
+    Alcotest.test_case "FRM for another pair's id keeps its flow" `Quick
+      test_frm_keeps_unrelated_flow;
   ]

@@ -139,6 +139,21 @@ let test_calendar_same_instant_fallback () =
   let order = List.init 1000 (fun _ -> match Cal.pop q with Some (_, i) -> i | None -> -1) in
   Alcotest.(check (list int)) "FIFO preserved across migration" (List.init 1000 Fun.id) order
 
+let test_calendar_seqs_after_migration () =
+  (* Compacting a same-instant pending set migrates onto the heap after
+     the newest seq (2) was popped; the next push must still get seq 3,
+     the seq the reference heap gives it, not 2 a second time. *)
+  let q = Cal.create () in
+  Cal.push q ~time:1.0 0;
+  Cal.push q ~time:1.0 1;
+  Cal.push q ~time:0.5 2;
+  ignore (Cal.pop q);
+  Cal.compact q;
+  Alcotest.(check bool) "fallback engaged" true (Cal.fallback_active q);
+  Cal.push q ~time:1.0 3;
+  let seqs = Cal.fold q ~init:[] ~f:(fun acc ~time:_ ~seq ~tag:_ -> seq :: acc) in
+  Alcotest.(check (list int)) "seqs continue" [ 0; 1; 3 ] (List.sort compare seqs)
+
 let test_calendar_remove_and_compact () =
   (* Drive a calendar and a flat heap through identical pushes, remove
      the same seq from both, compact the calendar (observably a no-op)
@@ -323,6 +338,8 @@ let suite =
     Alcotest.test_case "calendar same-instant fallback" `Quick
       test_calendar_same_instant_fallback;
     Alcotest.test_case "calendar remove_seq + compact" `Quick test_calendar_remove_and_compact;
+    Alcotest.test_case "calendar seqs continue after heap migration" `Quick
+      test_calendar_seqs_after_migration;
     Alcotest.test_case "sim runs on the calendar kernel" `Quick test_sim_calendar_kernel;
     Alcotest.test_case "set_tick boundary is exclusive" `Quick test_set_tick_boundary;
     Alcotest.test_case "bounded run fires final ticks" `Quick test_run_until_fires_final_ticks;

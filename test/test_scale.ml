@@ -530,6 +530,27 @@ let test_scale_deterministic () =
     b.Harness.Scale.sr_sim_ms;
   Alcotest.(check (float 0.0)) "p99" a.Harness.Scale.sr_p99_ms b.Harness.Scale.sr_p99_ms
 
+(* [World.make] points the global trace clock at the world it builds, so
+   nothing [Scale.run] does after building its world may build another:
+   an instant recorded after the run is stamped with the run's own
+   simulated time. *)
+let test_scale_keeps_trace_clock () =
+  let sink = Obs.Trace.create () in
+  Obs.Trace.install sink;
+  Fun.protect ~finally:Obs.Trace.uninstall @@ fun () ->
+  let cfg = Harness.Run_config.make ~seed:3 () in
+  let wl =
+    { Harness.Scale.default_workload with Harness.Scale.wl_updates = 40; wl_flows = 20 }
+  in
+  let r = Harness.Scale.run ~workload:wl cfg (Topo.Topologies.attmpls ()) in
+  Obs.Trace.clear sink;
+  Obs.Trace.instant ~cat:"test" "after_run";
+  match Obs.Trace.events sink with
+  | [ Obs.Trace.Instant { ts; _ } ] ->
+    Alcotest.(check (float 0.0)) "stamped with the run's simulated time"
+      r.Harness.Scale.sr_sim_ms ts
+  | evs -> Alcotest.failf "expected one instant, got %d events" (List.length evs)
+
 (* --- Run_config glue ------------------------------------------------- *)
 
 let test_fault_plan_sync () =
@@ -572,6 +593,8 @@ let suite =
     Alcotest.test_case "trace digest pinned" `Quick test_trace_digest;
     Alcotest.test_case "scale run completes clean" `Quick test_scale_runs;
     Alcotest.test_case "scale run is deterministic" `Quick test_scale_deterministic;
+    Alcotest.test_case "Scale.run leaves the trace clock on its own world" `Quick
+      test_scale_keeps_trace_clock;
     Alcotest.test_case "fault plan mirrors chaos defaults" `Quick test_fault_plan_sync;
     Alcotest.test_case "world builds with declared flows" `Quick test_world_flows;
   ]
