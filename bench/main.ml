@@ -374,11 +374,19 @@ let run_soak () =
 (* ------------------------------------------------------------------ *)
 
 (* Acceptance surface for the always-on recorder: its cost on the scale
-   engine must stay under 5% of recorder-off events/s.  Measured as
-   interleaved best-of-3 full Scale runs (fresh world each, identical
-   seed, so the event schedules are byte-identical and only the
-   recording differs), plus a tight [note] microbenchmark for the
-   per-call cost with and without a recorder installed. *)
+   engine must stay under 5% of recorder-off events/s.  Measured as a
+   paired A/B: [obs_pairs] back-to-back pairs of full Scale runs (fresh
+   world each, identical seed, so the event schedules are byte-identical
+   and only the recording differs), alternating which side runs first so
+   neither gets a systematically warmer cache or quieter neighbour; the
+   row is the median of the per-pair overheads, so host noise common to
+   both runs of a pair cancels and a burst of noise in a few pairs does
+   not move it.  (Single runs of this size vary by +-25% on a shared
+   2-vCPU host; independent best-of-3 runs failed the 5-point band in
+   about half the invocations.)  Plus a tight [note] microbenchmark for
+   the per-call cost with and without a recorder installed. *)
+let obs_pairs = 31
+
 let run_obs () =
   Printf.printf "P4Update observability subsuite (%s mode)\n" (if quick then "quick" else "full");
   let obs_row name unit value = emit ~prefix:"obs" name unit value in
@@ -399,25 +407,37 @@ let run_obs () =
   Obs.Flight_recorder.uninstall ();
   obs_row "note_disabled" "ops/s" note_off;
   obs_row "note_enabled" "ops/s" note_on;
-  section "Recorder overhead on the scale engine (recorder on vs off, best of 3)";
+  section
+    (Printf.sprintf "Recorder overhead on the scale engine (recorder on vs off, median of %d pairs)"
+       obs_pairs);
   let workload =
     { Harness.Scale.default_workload with
       Harness.Scale.wl_updates = (if quick then 200 else 1000); wl_flows = 50 }
   in
   let run_with recorder =
+    (* Each run starts from a fully collected heap, so a major cycle the
+       previous run left behind does not land in this one. *)
+    Gc.full_major ();
     let cfg = Harness.Run_config.make ~seed:42 ~recorder () in
     let r = Harness.Scale.run ~workload cfg (Topo.Topologies.attmpls ()) in
     r.Harness.Scale.sr_events_per_s
   in
   ignore (run_with false) (* warm-up: page in the code paths once *);
-  let best_off = ref 0.0 and best_on = ref 0.0 in
-  for _ = 1 to 3 do
-    best_off := max !best_off (run_with false);
-    best_on := max !best_on (run_with true)
-  done;
-  let overhead_pct = (1.0 -. (!best_on /. !best_off)) *. 100.0 in
-  obs_row "scale_events_per_s_recorder_off" "events/s" !best_off;
-  obs_row "scale_events_per_s_recorder_on" "events/s" !best_on;
+  let pairs =
+    List.init obs_pairs (fun i ->
+        if i land 1 = 0 then
+          let off = run_with false in
+          (off, run_with true)
+        else
+          let on = run_with true in
+          (run_with false, on))
+  in
+  let median = Harness.Stats.median in
+  let overhead_pct =
+    median (List.map (fun (off, on) -> (1.0 -. (on /. off)) *. 100.0) pairs)
+  in
+  obs_row "scale_events_per_s_recorder_off" "events/s" (median (List.map fst pairs));
+  obs_row "scale_events_per_s_recorder_on" "events/s" (median (List.map snd pairs));
   obs_row "recorder_overhead" "%" (Float.max 0.0 overhead_pct);
   Printf.printf "  recorder cost %.2f%% of events/s (target < 5%%)\n" overhead_pct;
   (* Wall-clock noise swamps a 5-point band in quick/CI runs; the full
@@ -849,6 +869,61 @@ let switch_hop_bench ~probes =
   let hops_per_s = max (timed ()) (max (timed ()) (timed ())) in
   (hops_per_s, words_per_hop)
 
+(* Parser admission: [Parser.admit] over the Wire parse graph, control
+   and data frames alternating.  Returns (admissions/s, minor words per
+   admission); the words figure is deterministic and is 0 for the
+   compiled walker. *)
+let parser_admit_bench ~ops =
+  let frames =
+    [|
+      P4update.Wire.control_to_bytes (P4update.Wire.control_default P4update.Wire.Uim);
+      P4update.Wire.data_to_bytes
+        { P4update.Wire.d_flow_id = 5; seq = 1; ttl = 64; origin = 0; dst = 3; tag = 0;
+          d_ts = 0 };
+    |]
+  in
+  let admit_all () =
+    for i = 1 to ops do
+      ignore (Sys.opaque_identity (P4rt.Parser.admit P4update.Wire.parser frames.(i land 1)))
+    done
+  in
+  admit_all ();
+  let words0 = Gc.minor_words () in
+  admit_all ();
+  let words = (Gc.minor_words () -. words0) /. float_of_int ops in
+  let timed () =
+    let started = Dessim.Wallclock.now_s () in
+    admit_all ();
+    float_of_int ops /. Dessim.Wallclock.elapsed_s ~since:started
+  in
+  let rate = max (timed ()) (max (timed ()) (timed ())) in
+  (rate, words)
+
+(* Netsim delivery: fault-free pooled data frames over one link to a
+   device that does nothing, [sends] per [Sim.run].  Returns minor words
+   per transmit + delivery (deterministic). *)
+let netsim_delivery_words ~sends =
+  let g = Topo.Graph.create 2 in
+  Topo.Graph.add_edge g ~u:0 ~v:1 ~latency_ms:1.0 ~capacity:10.0;
+  let topo =
+    { Topo.Topologies.name = "link"; kind = Topo.Topologies.Synthetic; graph = g;
+      node_names = [| "0"; "1" |]; controller = 0 }
+  in
+  let sim = Dessim.Sim.create () in
+  let net = Netsim.create sim topo in
+  Netsim.attach net ~node:1 ~data:(fun ~port:_ _ -> ()) ~control:ignore;
+  let round () =
+    for _ = 1 to sends do
+      Netsim.transmit ~pooled:true net ~from:0 ~port:0
+        (Netsim.take_frame P4update.Wire.data_bytes_len)
+    done;
+    ignore (Dessim.Sim.run sim)
+  in
+  round ();
+  let words0 = Gc.minor_words () in
+  round ();
+  (Gc.minor_words () -. words0) /. float_of_int sends
+
 let run_kernel () =
   Printf.printf "P4Update kernel subsuite (%s mode)\n" (if quick then "quick" else "full");
   let row name unit value = emit ~prefix:"kernel" name unit value in
@@ -884,7 +959,7 @@ let run_kernel () =
     let started = Sys.time () in
     for _ = 1 to n do
       let b = P4update.Wire.control_to_bytes c in
-      P4update.Wire.release_frame (Sys.opaque_identity b)
+      Netsim.release_frame (Sys.opaque_identity b)
     done;
     float_of_int n /. (Sys.time () -. started)
   in
@@ -901,7 +976,16 @@ let run_kernel () =
   let hops_per_s, words_per_hop = switch_hop_bench ~probes:(if quick then 20_000 else 100_000) in
   Printf.printf "  %12.0f hops/s, %.1f minor words per hop\n" hops_per_s words_per_hop;
   row "switch/hops_per_s" "ops/s" hops_per_s;
-  row "switch/words_per_hop" "words" words_per_hop
+  row "switch/words_per_hop" "words" words_per_hop;
+  section "Parser admission (compiled Wire parse graph, control and data frames)";
+  let admit_rate, admit_words = parser_admit_bench ~ops:(if quick then 2_000_000 else 10_000_000) in
+  Printf.printf "  %12.0f admissions/s, %.2f minor words per admission\n" admit_rate admit_words;
+  row "parser/admit_per_s" "ops/s" admit_rate;
+  row "parser/admit_words" "words" admit_words;
+  section "Netsim delivery (fault-free pooled data frames, one link)";
+  let delivery_words = netsim_delivery_words ~sends:10_000 in
+  Printf.printf "  %.1f minor words per transmit + delivery\n" delivery_words;
+  row "netsim/words_per_delivery" "words" delivery_words
 
 let () =
   if check_mode then begin

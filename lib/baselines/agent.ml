@@ -159,10 +159,9 @@ let create network ~node ~on_message =
        | Some d -> handle_data t d
        | None -> ())
   in
-  Netsim.attach network ~node (fun event ->
-      match event with
-      | Netsim.Data { port; bytes } -> dispatch ~from_port:port bytes
-      | Netsim.From_controller bytes -> dispatch ~from_port:(-1) bytes);
+  Netsim.attach network ~node
+    ~data:(fun ~port bytes -> dispatch ~from_port:port bytes)
+    ~control:(fun bytes -> dispatch ~from_port:(-1) bytes);
   t
 
 let inject_data t d = handle_data t d

@@ -310,7 +310,7 @@ let send_uims t prepared =
                   ])
        end);
       let bytes = Wire.control_to_bytes uim in
-      Netsim.controller_transmit ~recycle:(Wire.recycle_thunk bytes) t.net ~to_:node bytes)
+      Netsim.controller_transmit ~pooled:true t.net ~to_:node bytes)
     (List.rev prepared.p_uims)
 
 (* ------------------------------------------------------------------ *)
@@ -376,7 +376,7 @@ let abort_update ?(reason = "operator") t ~flow_id =
           Wire.control_to_bytes
             { (Wire.control_default Wire.Wdm) with flow_id; version_new = version }
         in
-        Netsim.controller_transmit ~recycle:(Wire.recycle_thunk bytes) t.net ~to_:node bytes)
+        Netsim.controller_transmit ~pooled:true t.net ~to_:node bytes)
       (List.rev p.p_uims);
     flow.path <- p.p_old_path;
     true
@@ -691,7 +691,7 @@ let retrigger t (c : Wire.control) =
       List.iter
         (fun (node, uim) ->
           let bytes = Wire.control_to_bytes uim in
-          Netsim.controller_transmit ~recycle:(Wire.recycle_thunk bytes) t.net ~to_:node
+          Netsim.controller_transmit ~pooled:true t.net ~to_:node
             bytes)
         (List.rev prepared.p_uims)
     end

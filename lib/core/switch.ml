@@ -168,14 +168,14 @@ let notify_ctl t (msg : Wire.control) =
       id
   end;
   let bytes = Wire.control_to_bytes msg in
-  Netsim.notify_controller ~recycle:(Wire.recycle_thunk bytes) t.net ~from:t.node bytes
+  Netsim.notify_controller ~pooled:true t.net ~from:t.node bytes
 
 let rec send_upstream t msg ~port =
   if port = Wire.port_none then ()
   else begin
     trace_unm_send t msg;
     let bytes = Wire.control_to_bytes msg in
-    Netsim.transmit ~recycle:(Wire.recycle_thunk bytes) t.net ~from:t.node ~port bytes
+    Netsim.transmit ~pooled:true t.net ~from:t.node ~port bytes
   end
 
 and fire_commit t flow_id (pc : pending_commit) =
@@ -796,18 +796,17 @@ let drain_actions t =
         | Send_upstream (msg, port) -> send_upstream t msg ~port
         | Send_ufm msg -> notify_ctl t msg
         | Resubmit_bytes bytes ->
-          Netsim.resubmit ~recycle:(Wire.recycle_thunk bytes) t.net ~node:t.node bytes)
+          Netsim.resubmit ~pooled:true t.net ~node:t.node bytes)
       todo
 
-(* Emitted frames are fresh and owned here (Pipeline.set_output): each
-   goes back to the wire pool once its last delivery is done. *)
+(* Emitted frames are fresh and owned here (Pipeline.set_output): the
+   network returns each to the frame pool after its last delivery. *)
 let rec transmit_emissions t = function
   | [] -> ()
   | { Pipeline.out_port; bytes } :: rest ->
     if out_port < Netsim.port_count t.net ~node:t.node then
-      Netsim.transmit ~recycle:(Wire.recycle_thunk bytes) t.net ~from:t.node ~port:out_port
-        bytes
-    else Wire.release_frame bytes;
+      Netsim.transmit ~pooled:true t.net ~from:t.node ~port:out_port bytes
+    else Netsim.release_frame bytes;
     transmit_emissions t rest
 
 let run_pipeline t ~port bytes =
@@ -880,12 +879,10 @@ let create net ~node =
   for port = 0 to ports - 1 do
     Pipeline.set_clone_session t.pipe ~session:port ~port
   done;
-  Netsim.attach net ~node (fun event ->
-      match event with
-      | Netsim.Data { port; bytes } ->
-        let port = if port = Netsim.port_host then host_port else port in
-        run_pipeline t ~port bytes
-      | Netsim.From_controller bytes -> run_pipeline t ~port:cpu_port bytes);
+  Netsim.attach net ~node
+    ~data:(fun ~port bytes ->
+      run_pipeline t ~port:(if port = Netsim.port_host then host_port else port) bytes)
+    ~control:(fun bytes -> run_pipeline t ~port:cpu_port bytes);
   t
 
 (* §11: a power-cycled switch loses its whole pipeline state — UIB
@@ -909,7 +906,7 @@ let inject_data t data =
   let bytes = Wire.data_to_bytes data in
   run_pipeline t ~port:host_port bytes;
   (* The pipeline ran synchronously and kept nothing of the frame. *)
-  Wire.release_frame bytes
+  Netsim.release_frame bytes
 
 let install_initial t ~flow_id ~version ~dist ~egress_port ~notify_port ~size =
   let u = t.uib in

@@ -219,51 +219,12 @@ let packet_of_bytes bytes =
    22) and a data frame 22 (eth 6 + data 16) at fixed offsets.  The
    runtime codec encodes/decodes with direct byte stores against that
    layout — the same image [Header.emit] produces — skipping the whole
-   Packet/Header machinery, and draws its buffers from a free-list pool
-   so a steady stream of messages stops boxing one packet, fifteen
+   Packet/Header machinery, and draws its buffers from [Netsim]'s frame
+   pool so a steady stream of messages stops boxing one packet, fifteen
    header copies and one fresh byte buffer per send. *)
 
 let control_bytes_len = 6 + Header.byte_size p4u_schema
 let data_bytes_len = 6 + Header.byte_size data_schema
-
-(* Free-list pool of wire frames, one stack per frame size.  [release]
-   is only sound once the last delivery of the buffer has completed —
-   [Netsim]'s per-send reference count decides when (see the [?recycle]
-   arguments there).  The pool is capped so a burst cannot pin an
-   unbounded byte arena. *)
-
-type pool = { mutable store : Bytes.t array; mutable n : int }
-
-let pool_cap = 4096
-let control_pool = { store = [||]; n = 0 }
-let data_pool = { store = [||]; n = 0 }
-
-let pool_take pool len =
-  if pool.n = 0 then Bytes.create len
-  else begin
-    pool.n <- pool.n - 1;
-    pool.store.(pool.n)
-  end
-
-let pool_put pool b =
-  if pool.n < pool_cap then begin
-    if pool.n = Array.length pool.store then begin
-      let store = Array.make (max 64 (2 * Array.length pool.store)) Bytes.empty in
-      Array.blit pool.store 0 store 0 pool.n;
-      pool.store <- store
-    end;
-    pool.store.(pool.n) <- b;
-    pool.n <- pool.n + 1
-  end
-
-let release_frame b =
-  let len = Bytes.length b in
-  if len = control_bytes_len then pool_put control_pool b
-  else if len = data_bytes_len then pool_put data_pool b
-
-let recycle_thunk b () = release_frame b
-
-let pooled_frames () = control_pool.n + data_pool.n
 
 (* Direct MSB-first byte accessors.  Stores mask exactly like
    [Header.set] ([v land (2^w - 1)]): the per-byte [land 0xff] keeps
@@ -331,12 +292,12 @@ let control_to_bytes_boxed c = Packet.serialize (control_to_packet c)
 let data_to_bytes_boxed d = Packet.serialize (data_to_packet d)
 
 let control_to_bytes c =
-  let b = pool_take control_pool control_bytes_len in
+  let b = Netsim.take_frame control_bytes_len in
   control_write b c;
   b
 
 let data_to_bytes d =
-  let b = pool_take data_pool data_bytes_len in
+  let b = Netsim.take_frame data_bytes_len in
   data_write b d;
   b
 
@@ -344,10 +305,10 @@ let data_to_bytes d =
    (bytes 16-17) patched — exactly the image of [Packet.update pkt "data"]
    setting both fields + [Packet.serialize], because every field is
    byte-aligned and re-emits as it was read.  Trailing payload is copied
-   too; only exact-size frames come from (and return to) the pool. *)
+   too. *)
 let data_forward_bytes src ~ttl ~tag =
   let len = Bytes.length src in
-  let b = if len = data_bytes_len then pool_take data_pool len else Bytes.create len in
+  let b = Netsim.take_frame len in
   Bytes.blit src 0 b 0 len;
   put8 b 12 ttl;
   put16 b 16 tag;
@@ -394,6 +355,12 @@ let data_of_bytes bytes =
         tag = get16 bytes 16;
         d_ts = get32 bytes 18;
       }
+
+let is_data_frame bytes =
+  Bytes.length bytes >= data_bytes_len && get16 bytes 4 = etype_data
+
+let data_seq bytes = if is_data_frame bytes then get32 bytes 8 else -1
+let data_flow bytes = if is_data_frame bytes then get16 bytes 6 else -1
 
 (* Classifier for [Netsim.set_control_classifier]: the message kind of a
    valid control frame without materializing the record.  Semantics

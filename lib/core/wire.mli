@@ -125,7 +125,7 @@ val data_to_packet : data -> P4rt.Packet.t
 val data_of_packet : P4rt.Packet.t -> data option
 
 (** Serialize helpers (deparse to bytes): direct byte stores into a
-    pooled buffer (see {!release_frame}), byte-identical to
+    buffer from [Netsim.take_frame], byte-identical to
     {!control_to_packet} / {!data_to_packet} + [Packet.serialize]. *)
 val control_to_bytes : control -> Bytes.t
 val data_to_bytes : data -> Bytes.t
@@ -163,12 +163,19 @@ val control_of_bytes : Bytes.t -> control option
 
 val data_of_bytes : Bytes.t -> data option
 
+(** [data_seq b] / [data_flow b]: the [seq] / [d_flow_id] field of [b]
+    read in place, or [-1] when {!data_of_bytes} would return [None].
+    For per-hop observers that need only these two fields. *)
+val data_seq : Bytes.t -> int
+
+val data_flow : Bytes.t -> int
+
 (** [data_forward_bytes frame ~ttl ~tag] is the frame a switch forwards
     for the data frame [frame]: a copy with [ttl] and [tag] patched,
     trailing payload included.  Byte-identical to parsing [frame],
     [Packet.update]-ing the [data] header's ttl and tag and
-    [Packet.serialize] (qcheck-pinned).  Exact-size frames come from the
-    pool (see {!release_frame}); [frame] must decode with
+    [Packet.serialize] (qcheck-pinned).  The copy comes from the
+    frame pool ([Netsim.take_frame]); [frame] must decode with
     {!data_of_bytes}. *)
 val data_forward_bytes : Bytes.t -> ttl:int -> tag:int -> Bytes.t
 
@@ -184,19 +191,6 @@ val control_to_bytes_boxed : control -> Bytes.t
 
 val data_to_bytes_boxed : data -> Bytes.t
 
-(** [release_frame b] returns a pooled frame to its pool (no-op when
-    [b] is not a pooled size).  Only sound once no delivery of [b] is
-    outstanding — senders pass it to [Netsim]'s [?recycle] hooks, whose
-    per-send reference count calls it after the last delivery
-    completes. *)
-val release_frame : Bytes.t -> unit
-
-(** [recycle_thunk b] is [fun () -> release_frame b], the value to
-    pass straight to [Netsim]'s [?recycle] arguments. *)
-val recycle_thunk : Bytes.t -> unit -> unit
-
-(** Number of frames currently parked in the pools (diagnostic). *)
-val pooled_frames : unit -> int
 
 val pp_control : Format.formatter -> control -> unit
 

@@ -38,23 +38,20 @@ type tag = Event_heap.tag = {
   tag_hash : int;
 }
 
-(* Freed payload slots are reset to this immediate so a bucket never
-   retains a popped thunk. *)
-let dummy = Obj.repr 0
-
 (* One bucket: an unordered growable vector in SoA layout.  [be] holds
    each entry's epoch exactly as computed at placement time, so the
    cursor's eligibility test is a load + compare that can never disagree
-   with the bucket the entry landed in (see [epoch_of]). *)
+   with the bucket the entry landed in (see [epoch_of]).  Payloads live
+   in the queue's [Slots] store; a bucket holds only unboxed words. *)
 type bucket = {
   mutable bt : float array;
   mutable be : float array;
   mutable bs : int array;
-  mutable bp : Obj.t array;
+  mutable bslot : int array;
   mutable blen : int;
 }
 
-let new_bucket () = { bt = [||]; be = [||]; bs = [||]; bp = [||]; blen = 0 }
+let new_bucket () = { bt = [||]; be = [||]; bs = [||]; bslot = [||]; blen = 0 }
 
 type 'a t = {
   mutable buckets : bucket array;  (* length is a power of two *)
@@ -65,9 +62,12 @@ type 'a t = {
   mutable len : int;
   mutable next_seq : int;
   tag_table : (int, tag) Hashtbl.t;
+  store : Slots.t;
   (* Set once by a re-tune that detects a pathological distribution;
      every operation delegates afterwards. *)
   mutable fallback : 'a Event_heap.t option;
+  (* Bucket of the entry [find_next] located. *)
+  mutable found_bucket : int;
 }
 
 let initial_buckets = 16
@@ -88,7 +88,9 @@ let create () =
     len = 0;
     next_seq = 0;
     tag_table = Hashtbl.create 8;
+    store = Slots.create ();
     fallback = None;
+    found_bucket = 0;
   }
 
 let[@inline] tag_of q seq =
@@ -103,23 +105,23 @@ let bucket_grow b =
   let bt = Array.make new_capacity 0.0 in
   let be = Array.make new_capacity 0.0 in
   let bs = Array.make new_capacity 0 in
-  let bp = Array.make new_capacity dummy in
+  let bslot = Array.make new_capacity 0 in
   Array.blit b.bt 0 bt 0 b.blen;
   Array.blit b.be 0 be 0 b.blen;
   Array.blit b.bs 0 bs 0 b.blen;
-  Array.blit b.bp 0 bp 0 b.blen;
+  Array.blit b.bslot 0 bslot 0 b.blen;
   b.bt <- bt;
   b.be <- be;
   b.bs <- bs;
-  b.bp <- bp
+  b.bslot <- bslot
 
-let[@inline] bucket_add b ~time ~epoch ~seq ~payload =
+let[@inline] bucket_add b ~time ~epoch ~seq ~slot =
   if b.blen = Array.length b.bt then bucket_grow b;
   let i = b.blen in
   Array.unsafe_set b.bt i time;
   Array.unsafe_set b.be i epoch;
   Array.unsafe_set b.bs i seq;
-  Array.unsafe_set b.bp i payload;
+  Array.unsafe_set b.bslot i slot;
   b.blen <- i + 1
 
 (* Order within a bucket is immaterial, so removal is swap-with-last. *)
@@ -129,9 +131,8 @@ let[@inline] bucket_remove b i =
     Array.unsafe_set b.bt i (Array.unsafe_get b.bt last);
     Array.unsafe_set b.be i (Array.unsafe_get b.be last);
     Array.unsafe_set b.bs i (Array.unsafe_get b.bs last);
-    Array.unsafe_set b.bp i (Array.unsafe_get b.bp last)
+    Array.unsafe_set b.bslot i (Array.unsafe_get b.bslot last)
   end;
-  Array.unsafe_set b.bp last dummy;
   b.blen <- last
 
 (* ---- cursor ----------------------------------------------------------- *)
@@ -160,14 +161,17 @@ let iter_entries q f =
   Array.iter
     (fun b ->
       for i = 0 to b.blen - 1 do
-        f ~time:b.bt.(i) ~seq:b.bs.(i) ~payload:b.bp.(i)
+        f ~time:b.bt.(i) ~seq:b.bs.(i) ~slot:b.bslot.(i)
       done)
     q.buckets
 
 let migrate_to_heap q =
   let h = Event_heap.create () in
-  iter_entries q (fun ~time ~seq ~payload ->
-      Event_heap.push_seq ?tag:(tag_of q seq) h ~time ~seq (Obj.obj payload));
+  iter_entries q (fun ~time ~seq ~slot ->
+      Event_heap.push_seq ?tag:(tag_of q seq) h ~time ~seq ~arg:(Slots.arg q.store slot)
+        (Obj.obj (Slots.payload q.store slot));
+      Slots.release q.store slot);
+  Slots.compact q.store ~live:[||] ~capacity:0;
   Hashtbl.reset q.tag_table;
   q.buckets <- [||];
   q.mask <- 0;
@@ -182,7 +186,7 @@ let rebuild q nbuckets =
   if nbuckets > max_buckets then migrate_to_heap q
   else begin
     let min_t = ref infinity and max_t = ref neg_infinity in
-    iter_entries q (fun ~time ~seq:_ ~payload:_ ->
+    iter_entries q (fun ~time ~seq:_ ~slot:_ ->
         if time < !min_t then min_t := time;
         if time > !max_t then max_t := time);
     if q.len > 1 && !max_t <= !min_t then migrate_to_heap q
@@ -202,7 +206,7 @@ let rebuild q nbuckets =
             (* Epochs are re-derived under the new width. *)
             let epoch = epoch_of q b.bt.(i) in
             let nb = q.buckets.(int_of_float epoch land q.mask) in
-            bucket_add nb ~time:b.bt.(i) ~epoch ~seq:b.bs.(i) ~payload:b.bp.(i);
+            bucket_add nb ~time:b.bt.(i) ~epoch ~seq:b.bs.(i) ~slot:b.bslot.(i);
             if nb.blen > !max_occ then max_occ := nb.blen
           done)
         old;
@@ -213,17 +217,17 @@ let rebuild q nbuckets =
 
 (* ---- the queue -------------------------------------------------------- *)
 
-let push ?tag q ~time payload =
+let push_arg ?tag q ~time payload arg =
   let seq = q.next_seq in
   q.next_seq <- seq + 1;
   match q.fallback with
-  | Some h -> Event_heap.push_seq ?tag h ~time ~seq payload
+  | Some h -> Event_heap.push_seq ?tag h ~time ~seq ~arg payload
   | None ->
     (match tag with None -> () | Some t -> Hashtbl.replace q.tag_table seq t);
     let epoch = epoch_of q time in
     bucket_add
       q.buckets.(int_of_float epoch land q.mask)
-      ~time ~epoch ~seq ~payload:(Obj.repr payload);
+      ~time ~epoch ~seq ~slot:(Slots.take q.store (Obj.repr payload) arg);
     q.len <- q.len + 1;
     (* An empty queue's cursor is stale; an arrival earlier than the
        cursor bucket's year pass would otherwise wait a whole year. *)
@@ -233,15 +237,18 @@ let push ?tag q ~time payload =
     end;
     if q.len > 2 * (q.mask + 1) then rebuild q (2 * (q.mask + 1))
 
-(* Locate the next entry in (time, seq) order and return its (bucket,
-   slot), advancing the cursor as a side effect.  Every pending entry
+let push ?tag q ~time payload = push_arg ?tag q ~time payload Slots.dummy
+
+(* Locate the next entry in (time, seq) order: returns its index in
+   its bucket and leaves the bucket in [found_bucket], or returns -1 when
+   the queue is empty; advances the cursor as a side effect.  Every pending entry
    has [epoch >= cur_epoch] (pushes reset the cursor backwards when
    needed), so entries eligible now — [epoch = cur_epoch] — all live in
    the cursor bucket; if a whole year of buckets turns up empty the
    pending set is sparse and the cursor jumps straight to the global
    minimum. *)
 let find_next q =
-  if q.len = 0 then None
+  if q.len = 0 then -1
   else begin
     let result = ref (-1) in
     let scanned = ref 0 in
@@ -269,7 +276,10 @@ let find_next q =
         incr scanned
       end
     done;
-    if !result >= 0 then Some (q.cur, !result)
+    if !result >= 0 then begin
+      q.found_bucket <- q.cur;
+      !result
+    end
     else begin
       (* Empty year: direct min scan, then repoint the cursor there. *)
       let bb = ref (-1) and bi = ref (-1) in
@@ -287,33 +297,51 @@ let find_next q =
           done)
         q.buckets;
       reset_cursor q !bt;
-      Some (!bb, !bi)
+      q.found_bucket <- !bb;
+      !bi
     end
   end
 
-let pop q =
+(* Remove entry [i] of bucket [b] and apply [k] to its time, payload and
+   argument.  The slot is freed before [k] runs, so the event may push
+   again. *)
+let remove_apply q b i k =
+  let time = Array.unsafe_get b.bt i in
+  let seq = Array.unsafe_get b.bs i in
+  let slot = Array.unsafe_get b.bslot i in
+  let payload = Slots.payload q.store slot and arg = Slots.arg q.store slot in
+  Slots.release q.store slot;
+  bucket_remove b i;
+  q.len <- q.len - 1;
+  if Hashtbl.length q.tag_table <> 0 then Hashtbl.remove q.tag_table seq;
+  k time (Obj.obj payload) arg
+
+let pop_apply q ~horizon k =
   match q.fallback with
-  | Some h -> Event_heap.pop h
-  | None -> (
-    match find_next q with
-    | None -> None
-    | Some (bidx, i) ->
-      let b = q.buckets.(bidx) in
-      let time = b.bt.(i) in
-      let seq = b.bs.(i) in
-      let payload : 'a = Obj.obj b.bp.(i) in
-      bucket_remove b i;
-      q.len <- q.len - 1;
-      if Hashtbl.length q.tag_table <> 0 then Hashtbl.remove q.tag_table seq;
-      Some (time, payload))
+  | Some h -> Event_heap.pop_apply h ~horizon k
+  | None ->
+    let i = find_next q in
+    i >= 0
+    &&
+    let b = q.buckets.(q.found_bucket) in
+    Array.unsafe_get b.bt i <= horizon
+    && begin
+      remove_apply q b i k;
+      true
+    end
+
+let pop q =
+  let out = ref None in
+  if pop_apply q ~horizon:infinity (fun time payload _ -> out := Some (time, payload))
+  then !out
+  else None
 
 let peek_time q =
   match q.fallback with
   | Some h -> Event_heap.peek_time h
-  | None -> (
-    match find_next q with
-    | None -> None
-    | Some (bidx, i) -> Some q.buckets.(bidx).bt.(i))
+  | None ->
+    let i = find_next q in
+    if i < 0 then None else Some q.buckets.(q.found_bucket).bt.(i)
 
 let size q = match q.fallback with Some h -> Event_heap.size h | None -> q.len
 let is_empty q = size q = 0
@@ -324,7 +352,9 @@ let clear q =
   | None ->
     Array.iter
       (fun b ->
-        Array.fill b.bp 0 b.blen dummy;
+        for i = 0 to b.blen - 1 do
+          Slots.release q.store b.bslot.(i)
+        done;
         b.blen <- 0)
       q.buckets;
     Hashtbl.reset q.tag_table;
@@ -335,13 +365,13 @@ let fold q ~init ~f =
   | Some h -> Event_heap.fold h ~init ~f
   | None ->
     let acc = ref init in
-    iter_entries q (fun ~time ~seq ~payload:_ ->
+    iter_entries q (fun ~time ~seq ~slot:_ ->
         acc := f !acc ~time ~seq ~tag:(tag_of q seq));
     !acc
 
-let remove_seq q seq =
+let remove_seq_apply q seq k =
   match q.fallback with
-  | Some h -> Event_heap.remove_seq h seq
+  | Some h -> Event_heap.remove_seq_apply h seq k
   | None ->
     let found = ref None in
     let nbuckets = q.mask + 1 in
@@ -355,15 +385,20 @@ let remove_seq q seq =
       incr bidx
     done;
     (match !found with
-     | None -> None
+     | None -> false
      | Some (b, i) ->
-       let time = b.bt.(i) in
-       let tag = tag_of q seq in
-       let payload : 'a = Obj.obj b.bp.(i) in
-       bucket_remove b i;
-       q.len <- q.len - 1;
-       if Hashtbl.length q.tag_table <> 0 then Hashtbl.remove q.tag_table seq;
-       Some (time, tag, payload))
+       remove_apply q b i k;
+       true)
+
+let remove_seq q seq =
+  match q.fallback with
+  | Some h -> Event_heap.remove_seq h seq
+  | None ->
+    let tag = tag_of q seq in
+    let out = ref None in
+    if remove_seq_apply q seq (fun time payload _ -> out := Some (time, tag, payload))
+    then !out
+    else None
 
 (* Shrink to fit: rebuild with the smallest power-of-two bucket count
    targeting ~2 entries per bucket, re-deriving the width from the
@@ -379,6 +414,18 @@ let compact q =
       while 2 * !c < q.len do c := 2 * !c done;
       !c
     in
+    (* Payload storage shrinks with the buckets: renumber the live slots
+       densely. *)
+    let live = Array.make q.len 0 and k = ref 0 in
+    Array.iter
+      (fun b ->
+        for i = 0 to b.blen - 1 do
+          live.(!k) <- b.bslot.(i);
+          b.bslot.(i) <- !k;
+          incr k
+        done)
+      q.buckets;
+    Slots.compact q.store ~live ~capacity:(2 * target);
     rebuild q target
 
 let fallback_active q = q.fallback <> None

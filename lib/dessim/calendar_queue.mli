@@ -35,6 +35,20 @@ val create : unit -> 'a t
 (** [push q ~time event] inserts [event] to fire at [time]. *)
 val push : ?tag:tag -> 'a t -> time:float -> 'a -> unit
 
+(** [push_arg q ~time event arg] inserts like {!push} and stores one
+    extra untyped word [arg] with the entry, handed back by
+    {!pop_apply}.  {!Sim} keeps a scheduled call's argument there, so a
+    call needs no closure. *)
+val push_arg : ?tag:tag -> 'a t -> time:float -> 'a -> Obj.t -> unit
+
+(** [pop_apply q ~horizon k] removes the earliest event if its time is
+    at most [horizon], applies [k] to its time, payload and argument
+    (see [push_arg]), and returns [true]; it returns [false], removing
+    nothing, when the queue is empty or the earliest event is later.
+    One search per event and no allocation of its own: the event loop's
+    path.  The event's storage is freed before [k] runs, so [k] may push. *)
+val pop_apply : 'a t -> horizon:float -> (float -> 'a -> Obj.t -> unit) -> bool
+
 (** [pop q] removes and returns the earliest event (time, seq order), or
     [None] when the queue is empty. *)
 val pop : 'a t -> (float * 'a) option
@@ -60,6 +74,11 @@ val fold :
     returning its time, tag and payload.  O(n); for the model checker's
     choice-point layer. *)
 val remove_seq : 'a t -> int -> (float * tag option * 'a) option
+
+(** [remove_seq_apply q seq k] removes the entry with sequence number
+    [seq] like {!remove_seq} and applies [k] to its time, payload and
+    argument; [false] when no such entry is pending. *)
+val remove_seq_apply : 'a t -> int -> (float -> 'a -> Obj.t -> unit) -> bool
 
 (** [compact q] rebuilds with the smallest bucket array holding the
     current entries and re-tunes the width from them — the down-sizing

@@ -7,8 +7,15 @@
      times     float array   -- unboxed; every ordering comparison is a
                                 direct load from a contiguous float array
      seqs      int array     -- FIFO tie-break for same-instant events
-     payloads  Obj.t array   -- the scheduled thunks, untyped so that 'a
-                                never forces a float-array specialisation
+     slots     int array     -- where the entry's payload lives
+
+   The payloads themselves (the scheduled thunks, untyped so that 'a
+   never forces a float-array specialisation, plus one extra untyped
+   argument word per entry, see [push_arg]) sit in a [Slots] table and
+   never move while queued.  Sifting therefore moves three unboxed words
+   per level and never runs the write barrier, which a young pointer
+   stored into a long-lived array would otherwise pay (and add to the
+   remembered set) at every level.
 
    (Tags live in a side table — see [tag_table] below.)
 
@@ -31,10 +38,11 @@ type tag = { tag_kind : string; tag_node : int; tag_flow : int; tag_hash : int }
 type 'a t = {
   mutable times : float array;
   mutable seqs : int array;
-  mutable payloads : Obj.t array;
+  mutable slots : int array;  (* payload slot of each heap position *)
+  store : Slots.t;
   (* Tags ride in a side table keyed by seq: they are only ever attached
      while the model checker's chooser is installed, so the default path
-     never touches the table and sifting moves three arrays, not four. *)
+     never touches the table. *)
   tag_table : (int, tag) Hashtbl.t;
   mutable len : int;
   mutable next_seq : int;
@@ -42,15 +50,12 @@ type 'a t = {
 
 let initial_capacity = 64
 
-(* Freed payload slots are reset to this immediate so the heap never
-   retains a popped thunk (closures capture whole simulation worlds). *)
-let dummy = Obj.repr 0
-
 let create () =
   {
     times = [||];
     seqs = [||];
-    payloads = [||];
+    slots = [||];
+    store = Slots.create ();
     tag_table = Hashtbl.create 8;
     len = 0;
     next_seq = 0;
@@ -60,18 +65,18 @@ let[@inline] tag_of heap seq =
   if Hashtbl.length heap.tag_table = 0 then None
   else Hashtbl.find_opt heap.tag_table seq
 
-let grow heap =
-  let capacity = Array.length heap.times in
-  let new_capacity = max initial_capacity (2 * capacity) in
-  let times = Array.make new_capacity 0.0 in
-  let seqs = Array.make new_capacity 0 in
-  let payloads = Array.make new_capacity dummy in
+let resize heap capacity =
+  let times = Array.make capacity 0.0 in
+  let seqs = Array.make capacity 0 in
+  let slots = Array.make capacity 0 in
   Array.blit heap.times 0 times 0 heap.len;
   Array.blit heap.seqs 0 seqs 0 heap.len;
-  Array.blit heap.payloads 0 payloads 0 heap.len;
+  Array.blit heap.slots 0 slots 0 heap.len;
   heap.times <- times;
   heap.seqs <- seqs;
-  heap.payloads <- payloads
+  heap.slots <- slots
+
+let grow heap = resize heap (max initial_capacity (2 * Array.length heap.times))
 
 (* All indices below are < len <= capacity, with len checked by the
    callers, so the sift loops use unsafe accesses. *)
@@ -79,16 +84,16 @@ let grow heap =
 let[@inline] move heap ~src ~dst =
   Array.unsafe_set heap.times dst (Array.unsafe_get heap.times src);
   Array.unsafe_set heap.seqs dst (Array.unsafe_get heap.seqs src);
-  Array.unsafe_set heap.payloads dst (Array.unsafe_get heap.payloads src)
+  Array.unsafe_set heap.slots dst (Array.unsafe_get heap.slots src)
 
-let[@inline] place heap i ~time ~seq ~payload =
+let[@inline] place heap i ~time ~seq ~slot =
   Array.unsafe_set heap.times i time;
   Array.unsafe_set heap.seqs i seq;
-  Array.unsafe_set heap.payloads i payload
+  Array.unsafe_set heap.slots i slot
 
 (* Sift the (held-in-locals) entry up from hole [i]: parents later in
    (time, seq) order shift down into the hole. *)
-let sift_up_entry heap i ~time ~seq ~payload =
+let sift_up_entry heap i ~time ~seq ~slot =
   let i = ref i in
   let stop = ref false in
   while (not !stop) && !i > 0 do
@@ -100,11 +105,11 @@ let sift_up_entry heap i ~time ~seq ~payload =
     end
     else stop := true
   done;
-  place heap !i ~time ~seq ~payload
+  place heap !i ~time ~seq ~slot
 
 (* Sift the entry down from hole [i]: the earlier child shifts up while
    it precedes the held entry. *)
-let sift_down_entry heap i ~time ~seq ~payload =
+let sift_down_entry heap i ~time ~seq ~slot =
   let len = heap.len in
   let i = ref i in
   let stop = ref false in
@@ -116,17 +121,18 @@ let sift_down_entry heap i ~time ~seq ~payload =
       let lt = Array.unsafe_get heap.times left in
       (* Seqs are only consulted on exact time ties, so load them lazily:
          on the random-time fast path each level costs two float loads. *)
-      let child, ct =
+      let child =
         if right < len then begin
           let rt = Array.unsafe_get heap.times right in
-          if rt < lt then (right, rt)
+          if rt < lt then right
           else if
             rt = lt && Array.unsafe_get heap.seqs right < Array.unsafe_get heap.seqs left
-          then (right, rt)
-          else (left, lt)
+          then right
+          else left
         end
-        else (left, lt)
+        else left
       in
+      let ct = Array.unsafe_get heap.times child in
       if ct < time || (ct = time && Array.unsafe_get heap.seqs child < seq) then begin
         move heap ~src:child ~dst:!i;
         i := child
@@ -134,54 +140,85 @@ let sift_down_entry heap i ~time ~seq ~payload =
       else stop := true
     end
   done;
-  place heap !i ~time ~seq ~payload
+  place heap !i ~time ~seq ~slot
 
-let push ?tag heap ~time payload =
-  let seq = heap.next_seq in
-  heap.next_seq <- seq + 1;
+let push_entry ?tag heap ~time ~seq payload arg =
   (match tag with None -> () | Some t -> Hashtbl.replace heap.tag_table seq t);
   if heap.len = Array.length heap.times then grow heap;
+  let slot = Slots.take heap.store payload arg in
   let i = heap.len in
   heap.len <- i + 1;
-  sift_up_entry heap i ~time ~seq ~payload:(Obj.repr payload)
+  sift_up_entry heap i ~time ~seq ~slot
+
+let push_arg ?tag heap ~time payload arg =
+  let seq = heap.next_seq in
+  heap.next_seq <- seq + 1;
+  push_entry ?tag heap ~time ~seq (Obj.repr payload) arg
+
+let push ?tag heap ~time payload = push_arg ?tag heap ~time payload Slots.dummy
 
 (* Insert with a caller-supplied sequence number.  This exists for
    [Calendar_queue]'s heap fallback, which must preserve the seqs it
    already handed out so the (time, seq) delivery order survives the
    migration.  [next_seq] is bumped past [seq] so a later plain [push]
    cannot hand out a duplicate. *)
-let push_seq ?tag heap ~time ~seq payload =
-  (match tag with None -> () | Some t -> Hashtbl.replace heap.tag_table seq t);
+let push_seq ?tag heap ~time ~seq ~arg payload =
   if heap.next_seq <= seq then heap.next_seq <- seq + 1;
-  if heap.len = Array.length heap.times then grow heap;
-  let i = heap.len in
-  heap.len <- i + 1;
-  sift_up_entry heap i ~time ~seq ~payload:(Obj.repr payload)
+  push_entry ?tag heap ~time ~seq (Obj.repr payload) arg
+
+(* Remove heap position [i] (moving the last entry into its place) and
+   apply [k] to its time, payload and argument.  The slot is freed
+   before [k] runs, so the event may push again. *)
+let remove_at heap i k =
+  let time = Array.unsafe_get heap.times i in
+  let seq = Array.unsafe_get heap.seqs i in
+  let slot = Array.unsafe_get heap.slots i in
+  let payload = Slots.payload heap.store slot and arg = Slots.arg heap.store slot in
+  Slots.release heap.store slot;
+  let last = heap.len - 1 in
+  heap.len <- last;
+  if i < last then begin
+    (* The entry moved in from the end may need to travel either way.
+       The heap property makes the two directions exclusive (the old
+       parent preceded everything in the removed entry's subtree), so
+       pick the direction by one comparison against the parent. *)
+    let mt = Array.unsafe_get heap.times last in
+    let ms = Array.unsafe_get heap.seqs last in
+    let mslot = Array.unsafe_get heap.slots last in
+    let goes_up =
+      i > 0
+      &&
+      let parent = (i - 1) / 2 in
+      let pt = Array.unsafe_get heap.times parent in
+      mt < pt || (mt = pt && ms < Array.unsafe_get heap.seqs parent)
+    in
+    if goes_up then sift_up_entry heap i ~time:mt ~seq:ms ~slot:mslot
+    else sift_down_entry heap i ~time:mt ~seq:ms ~slot:mslot
+  end;
+  if Hashtbl.length heap.tag_table <> 0 then Hashtbl.remove heap.tag_table seq;
+  k time (Obj.obj payload) arg
+
+let pop_apply heap ~horizon k =
+  if heap.len = 0 || Array.unsafe_get heap.times 0 > horizon then false
+  else begin
+    remove_at heap 0 k;
+    true
+  end
 
 let pop heap =
-  if heap.len = 0 then None
-  else begin
-    let time = Array.unsafe_get heap.times 0 in
-    let seq = Array.unsafe_get heap.seqs 0 in
-    let payload : 'a = Obj.obj (Array.unsafe_get heap.payloads 0) in
-    let last = heap.len - 1 in
-    heap.len <- last;
-    if last > 0 then
-      sift_down_entry heap 0
-        ~time:(Array.unsafe_get heap.times last)
-        ~seq:(Array.unsafe_get heap.seqs last)
-        ~payload:(Array.unsafe_get heap.payloads last);
-    Array.unsafe_set heap.payloads last dummy;
-    if Hashtbl.length heap.tag_table <> 0 then Hashtbl.remove heap.tag_table seq;
-    Some (time, payload)
-  end
+  let out = ref None in
+  if pop_apply heap ~horizon:infinity (fun time payload _ -> out := Some (time, payload))
+  then !out
+  else None
 
 let peek_time heap = if heap.len = 0 then None else Some heap.times.(0)
 let size heap = heap.len
 let is_empty heap = heap.len = 0
 
 let clear heap =
-  Array.fill heap.payloads 0 heap.len dummy;
+  for i = 0 to heap.len - 1 do
+    Slots.release heap.store heap.slots.(i)
+  done;
   Hashtbl.reset heap.tag_table;
   heap.len <- 0
 
@@ -202,15 +239,11 @@ let compact heap =
     !c
   in
   if target < Array.length heap.times then begin
-    let times = Array.make target 0.0 in
-    let seqs = Array.make target 0 in
-    let payloads = Array.make target dummy in
-    Array.blit heap.times 0 times 0 heap.len;
-    Array.blit heap.seqs 0 seqs 0 heap.len;
-    Array.blit heap.payloads 0 payloads 0 heap.len;
-    heap.times <- times;
-    heap.seqs <- seqs;
-    heap.payloads <- payloads
+    Slots.compact heap.store ~live:(Array.sub heap.slots 0 heap.len) ~capacity:target;
+    resize heap target;
+    for i = 0 to heap.len - 1 do
+      heap.slots.(i) <- i
+    done
   end
 
 let fold heap ~init ~f =
@@ -230,34 +263,17 @@ let index_of_seq heap seq =
   in
   find 0
 
-let remove_seq heap seq =
+let remove_seq_apply heap seq k =
   let i = index_of_seq heap seq in
-  if i < 0 then None
-  else begin
-    let time = heap.times.(i) in
-    let tag = tag_of heap seq in
-    let payload : 'a = Obj.obj heap.payloads.(i) in
-    let last = heap.len - 1 in
-    heap.len <- last;
-    if i < last then begin
-      (* The entry moved in from the end may need to travel either way.
-         The heap property makes the two directions exclusive (the old
-         parent preceded everything in the removed entry's subtree), so
-         pick the direction by one comparison against the parent. *)
-      let mt = heap.times.(last) in
-      let ms = heap.seqs.(last) in
-      let mp = heap.payloads.(last) in
-      let goes_up =
-        i > 0
-        &&
-        let parent = (i - 1) / 2 in
-        let pt = heap.times.(parent) in
-        mt < pt || (mt = pt && ms < heap.seqs.(parent))
-      in
-      if goes_up then sift_up_entry heap i ~time:mt ~seq:ms ~payload:mp
-      else sift_down_entry heap i ~time:mt ~seq:ms ~payload:mp
-    end;
-    heap.payloads.(last) <- dummy;
-    if Hashtbl.length heap.tag_table <> 0 then Hashtbl.remove heap.tag_table seq;
-    Some (time, tag, payload)
+  i >= 0
+  && begin
+    remove_at heap i k;
+    true
   end
+
+let remove_seq heap seq =
+  let tag = tag_of heap seq in
+  let out = ref None in
+  if remove_seq_apply heap seq (fun time payload _ -> out := Some (time, tag, payload))
+  then !out
+  else None

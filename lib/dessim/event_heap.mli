@@ -26,18 +26,28 @@ val create : unit -> 'a t
 (** [push heap ~time event] inserts [event] to fire at [time]. *)
 val push : ?tag:tag -> 'a t -> time:float -> 'a -> unit
 
-(** [push_seq heap ~time ~seq event] inserts with a caller-supplied
-    sequence number instead of drawing the next one; the internal
+(** [push_seq heap ~time ~seq ~arg event] inserts with a caller-supplied
+    sequence number and one extra untyped word [arg] stored with the
+    entry (handed back by {!pop_apply}); the internal
     counter is bumped past [seq].  This is the {!Calendar_queue} heap
     fallback's migration hook — it preserves already-issued seqs so the
     (time, seq) delivery order survives the switch.  Supplying a seq
     that is still live in the heap is the caller's responsibility to
     avoid. *)
-val push_seq : ?tag:tag -> 'a t -> time:float -> seq:int -> 'a -> unit
+val push_seq : ?tag:tag -> 'a t -> time:float -> seq:int -> arg:Obj.t -> 'a -> unit
 
 (** [pop heap] removes and returns the earliest event, or [None] when the
     heap is empty. *)
 val pop : 'a t -> (float * 'a) option
+
+(** [pop_apply q ~horizon k] removes the earliest event if its time is
+    at most [horizon], applies [k] to its time, payload and argument
+    (the [arg] of {!push_seq}; an immediate [0] after {!push}), and
+    returns [true]; it returns [false], removing
+    nothing, when the queue is empty or the earliest event is later.
+    One search per event and no allocation of its own: the event loop's
+    path.  The event's storage is freed before [k] runs, so [k] may push. *)
+val pop_apply : 'a t -> horizon:float -> (float -> 'a -> Obj.t -> unit) -> bool
 
 (** [peek_time heap] is the timestamp of the earliest event without
     removing it. *)
@@ -70,3 +80,8 @@ val fold :
     number, returning its time, tag and payload.  O(n); meant for the
     model checker's choice-point layer, not for hot paths. *)
 val remove_seq : 'a t -> int -> (float * tag option * 'a) option
+
+(** [remove_seq_apply q seq k] removes the entry with sequence number
+    [seq] like {!remove_seq} and applies [k] to its time, payload and
+    argument; [false] when no such entry is pending. *)
+val remove_seq_apply : 'a t -> int -> (float -> 'a -> Obj.t -> unit) -> bool

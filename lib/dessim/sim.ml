@@ -13,7 +13,12 @@ type stats = { st_events : int; st_wall_s : float; st_events_per_s : float }
 
 type t = {
   mutable clock : float;
-  queue : (unit -> unit) Calendar_queue.t;
+  (* Each entry is a function and the argument it is applied to (see
+     [schedule_call]); a thunk is stored with [()] as its argument. *)
+  queue : (Obj.t -> unit) Calendar_queue.t;
+  (* [dispatch] applied to this simulation, made once: what the queue
+     calls with each popped event. *)
+  mutable fire : float -> (Obj.t -> unit) -> Obj.t -> unit;
   random : Random.State.t;
   mutable chooser : chooser option;
   mutable chooser_window : float;
@@ -28,20 +33,6 @@ type t = {
   mutable tick_next : float;
   mutable on_tick : (now:float -> unit) option;
 }
-
-let create ?(seed = 0x5eed) () =
-  {
-    clock = 0.0;
-    queue = Calendar_queue.create ();
-    random = Random.State.make [| seed |];
-    chooser = None;
-    chooser_window = 0.0;
-    events = 0;
-    wall_s = 0.0;
-    tick_every = 0.0;
-    tick_next = 0.0;
-    on_tick = None;
-  }
 
 let now t = t.clock
 let rng t = t.random
@@ -63,15 +54,24 @@ let chooser_installed t = t.chooser <> None
 let tag ~kind ~node ~flow ~hash =
   { tag_kind = kind; tag_node = node; tag_flow = flow; tag_hash = hash }
 
-let schedule_at ?tag t ~time f =
+let[@inline] push_at ?tag t ~time (f : 'a -> unit) (x : 'a) =
   if not (Float.is_finite time) then invalid_arg "Sim.schedule_at: non-finite time";
   if time < t.clock then invalid_arg "Sim.schedule_at: time in the past";
-  Calendar_queue.push ?tag t.queue ~time f
+  Calendar_queue.push_arg ?tag t.queue ~time (Obj.magic f : Obj.t -> unit) (Obj.repr x)
+
+let[@inline] check_delay delay =
+  if not (Float.is_finite delay) || delay < 0.0 then
+    invalid_arg "Sim.schedule: negative or non-finite delay"
+
+let schedule_at ?tag t ~time f = push_at ?tag t ~time f ()
 
 let schedule ?tag t ~delay f =
-  if not (Float.is_finite delay) || delay < 0.0 then
-    invalid_arg "Sim.schedule: negative or non-finite delay";
-  schedule_at ?tag t ~time:(t.clock +. delay) f
+  check_delay delay;
+  push_at ?tag t ~time:(t.clock +. delay) f ()
+
+let schedule_call ?tag t ~delay f x =
+  check_delay delay;
+  push_at ?tag t ~time:(t.clock +. delay) f x
 
 (* Catch-up loop: a dispatch that jumps several tick periods ahead fires
    every intermediate tick, each stamped with its own boundary time, so
@@ -110,7 +110,7 @@ let clear_tick t =
   t.tick_every <- 0.0;
   t.on_tick <- None
 
-let dispatch t ~time f =
+let dispatch t ~time (f : Obj.t -> unit) x =
   t.clock <- time;
   t.events <- t.events + 1;
   if t.on_tick <> None then fire_ticks t;
@@ -119,8 +119,27 @@ let dispatch t ~time f =
   if Obs.Trace.enabled () then
     Obs.Trace.with_span ~cat:"sim" "dispatch"
       ~attrs:[ Obs.Trace.float "time" time ]
-      f
-  else f ()
+      (fun () -> f x)
+  else f x
+
+let create ?(seed = 0x5eed) () =
+  let t =
+    {
+      clock = 0.0;
+      queue = Calendar_queue.create ();
+      fire = (fun _ _ _ -> ());
+      random = Random.State.make [| seed |];
+      chooser = None;
+      chooser_window = 0.0;
+      events = 0;
+      wall_s = 0.0;
+      tick_every = 0.0;
+      tick_next = 0.0;
+      on_tick = None;
+    }
+  in
+  t.fire <- (fun time f x -> dispatch t ~time f x);
+  t
 
 (* Choice-point path: collect every pending event within the reorder
    window of the earliest one (sorted by the default (time, seq) order,
@@ -151,33 +170,31 @@ let step_choose t chooser =
       invalid_arg
         (Printf.sprintf "Sim.step: chooser picked %d of %d candidates" idx
            (Array.length candidates));
-    (match Calendar_queue.remove_seq t.queue candidates.(idx).c_seq with
-     | None -> assert false (* the candidate was just enumerated *)
-     | Some (time, _tag, f) ->
-       dispatch t ~time:(Float.max t.clock time) f;
-       true)
+    let found =
+      Calendar_queue.remove_seq_apply t.queue candidates.(idx).c_seq (fun time f x ->
+          dispatch t ~time:(Float.max t.clock time) f x)
+    in
+    assert found (* the candidate was just enumerated *);
+    true
+
+(* The default path: one search of the queue per event, no allocation. *)
+let[@inline] step_until t ~horizon = Calendar_queue.pop_apply t.queue ~horizon t.fire
 
 let step t =
   match t.chooser with
   | Some chooser -> step_choose t chooser
-  | None -> (
-    match Calendar_queue.pop t.queue with
-    | None -> false
-    | Some (time, f) ->
-      dispatch t ~time f;
-      true)
+  | None -> step_until t ~horizon:infinity
 
 let run ?until t =
-  let horizon_reached () =
-    match (until, Calendar_queue.peek_time t.queue) with
-    | Some horizon, Some next -> next > horizon
-    | _, None -> true
-    | None, Some _ -> false
-  in
+  let horizon = match until with Some h -> h | None -> infinity in
   let rec loop processed =
-    if horizon_reached () then processed
-    else if step t then loop (processed + 1)
-    else processed
+    match t.chooser with
+    | None -> if step_until t ~horizon then loop (processed + 1) else processed
+    | Some chooser ->
+      (match Calendar_queue.peek_time t.queue with
+       | Some next when next <= horizon ->
+         if step_choose t chooser then loop (processed + 1) else processed
+       | Some _ | None -> processed)
   in
   let started = Wallclock.now_s () in
   let processed = loop 0 in

@@ -75,9 +75,18 @@ val schedule : ?tag:tag -> t -> delay:float -> (unit -> unit) -> unit
     be in the simulated past. *)
 val schedule_at : ?tag:tag -> t -> time:float -> (unit -> unit) -> unit
 
+(** [schedule_call t ~delay f x] runs [f x] at [now t +. delay]: a typed
+    event whose argument is stored in the queue next to [f], so a caller
+    that keeps [f] (one closure made at setup) schedules a record it
+    allocated anyway instead of a fresh closure per event.  Same checks
+    and ordering as {!schedule}. *)
+val schedule_call : ?tag:tag -> t -> delay:float -> ('a -> unit) -> 'a -> unit
+
 (** [run t] processes events until the queue is empty or the optional
     [until] horizon is passed (events scheduled later stay pending).
-    Returns the number of events processed.  A bounded run finishes with
+    Returns the number of events processed.  Without a chooser each
+    event costs one queue search and allocates nothing in the kernel
+    itself.  A bounded run finishes with
     the clock advanced to [until] (when that is ahead of the last
     event), firing the observability ticks in between, so fixed-width
     {!set_tick} windows cover the whole bounded interval. *)

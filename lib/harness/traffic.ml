@@ -144,7 +144,8 @@ type t = {
   mutable drained_upto : int;    (* every seq below this is accounted for *)
   acc_counts : int array;        (* per-outcome totals *)
   mutable acc_excused : int;
-  mutable acc_latencies : float list;
+  mutable acc_latencies : float array;  (* the first [acc_nlat] are samples *)
+  mutable acc_nlat : int;
   mutable acc_digest : int;
   (* metric handles in the network's registry *)
   m_injected : Obs.Metrics.counter;
@@ -187,13 +188,12 @@ let flow_state_of (f : P4update.Controller.flow) =
 
 (* A link-hop of one of our probes: append the receiving node. *)
 let on_hop t _time node _port bytes =
-  match P4update.Wire.data_of_bytes bytes with
-  | Some d -> (
-    match Hashtbl.find_opt t.flight d.P4update.Wire.seq with
-    | Some pk when pk.pk_flow = d.P4update.Wire.d_flow_id ->
-      pk.pk_hops <- node :: pk.pk_hops
-    | Some _ | None -> ())
-  | None -> ()
+  let seq = P4update.Wire.data_seq bytes in
+  if seq >= 0 then
+    match Hashtbl.find t.flight seq with
+    | pk ->
+      if pk.pk_flow = P4update.Wire.data_flow bytes then pk.pk_hops <- node :: pk.pk_hops
+    | exception Not_found -> ()
 
 (* Egress: the packet left the network at [node]. *)
 let on_egress t node ~time (d : P4update.Wire.data) =
@@ -247,9 +247,7 @@ let inject t flow_id (st : flow_state) =
     }
   in
   let bytes = P4update.Wire.data_to_bytes d in
-  Netsim.host_inject
-    ~recycle:(P4update.Wire.recycle_thunk bytes)
-    t.world.World.net ~node:st.fl_src bytes
+  Netsim.host_inject ~pooled:true t.world.World.net ~node:st.fl_src bytes
 
 let gap t =
   let sim = t.world.World.sim in
@@ -304,7 +302,8 @@ let attach ?(workload = default_workload) (w : World.t) =
       drained_upto = 0;
       acc_counts = Array.make 5 0;
       acc_excused = 0;
-      acc_latencies = [];
+      acc_latencies = [||];
+      acc_nlat = 0;
       acc_digest = 0x1505;
       m_injected = Obs.Metrics.counter metrics "traffic.injected";
       m_delivered = Obs.Metrics.counter metrics "traffic.delivered";
@@ -391,6 +390,17 @@ let classify (st : flow_state) (pk : pkt) =
 
 let hash_combine h x = ((h * 1000003) lxor x) land 0x3FFFFFFF
 
+(* Latency samples live in an unboxed buffer, one word per delivered
+   probe; [finalize] sorts a copy once. *)
+let note_latency t ms =
+  if t.acc_nlat = Array.length t.acc_latencies then begin
+    let grown = Array.make (max 1024 (2 * t.acc_nlat)) 0.0 in
+    Array.blit t.acc_latencies 0 grown 0 t.acc_nlat;
+    t.acc_latencies <- grown
+  end;
+  t.acc_latencies.(t.acc_nlat) <- ms;
+  t.acc_nlat <- t.acc_nlat + 1
+
 (* Classify and retire every packet injected so far.  Call at quiet
    instants only (the plane drained: every such packet is terminal), so
    the soak monitor can account for millions of probes cycle by cycle
@@ -434,8 +444,7 @@ let drain ?excuse t =
                ~reason:("traffic-" ^ outcome_name cls))
         | Old_path | New_path -> ()
       end;
-      if pk.pk_delivered_at >= 0 then
-        t.acc_latencies <- pk.pk_latency_ms :: t.acc_latencies;
+      if pk.pk_delivered_at >= 0 then note_latency t pk.pk_latency_ms;
       t.acc_digest <-
         hash_combine t.acc_digest
           (Hashtbl.hash
@@ -451,7 +460,11 @@ let finalize ?(wall_s = 0.0) t =
   let injected = t.next_seq in
   let counts = t.acc_counts in
   let delivered = counts.(0) + counts.(1) + counts.(2) in
-  let samples = t.acc_latencies in
+  let samples = Array.sub t.acc_latencies 0 t.acc_nlat in
+  Array.sort Float.compare samples;
+  let percentile p =
+    Option.value ~default:0.0 (Obs.Quantile.of_sorted_array p samples)
+  in
   {
     ts_injected = injected;
     ts_delivered = delivered;
@@ -463,8 +476,8 @@ let finalize ?(wall_s = 0.0) t =
     ts_loops = counts.(outcome_to_int Loop);
     ts_blackholes = counts.(outcome_to_int Blackhole);
     ts_excused = t.acc_excused;
-    ts_p50_ms = Option.value ~default:0.0 (Stats.percentile_opt 50.0 samples);
-    ts_p99_ms = Option.value ~default:0.0 (Stats.percentile_opt 99.0 samples);
+    ts_p50_ms = percentile 50.0;
+    ts_p99_ms = percentile 99.0;
     ts_sim_ms = Sim.now t.world.World.sim;
     ts_wall_s = wall_s;
     ts_pkts_per_s = (if wall_s > 0.0 then float_of_int injected /. wall_s else 0.0);

@@ -36,10 +36,6 @@ type topo_event =
   | Node_down of int
   | Node_up of int
 
-type event =
-  | Data of { port : int; bytes : Bytes.t }
-  | From_controller of Bytes.t
-
 let kind_space = 8
 
 (* Human-readable wire-kind names used in metric names; index = kind. *)
@@ -79,12 +75,44 @@ type stats_handles = {
   h_control_kind_tx : Obs.Metrics.counter array;
 }
 
+(* Where a scheduled delivery goes when it fires. *)
+type route =
+  | Link      (* data frame over a link *)
+  | Host      (* host-injected data frame *)
+  | Loop      (* resubmitted frame *)
+  | Uplink    (* switch-to-controller message reaching the controller *)
+  | Serve     (* ... and leaving its FIFO server for the handler *)
+  | Downlink  (* controller-to-switch message *)
+
+(* Who returns a delivered frame to the pool.  [Shared] exists only when
+   a [Duplicate] verdict makes two deliveries carry one pooled frame. *)
+type owner = Unpooled | Pooled | Shared of { mutable refs : int }
+
+(* One scheduled delivery: the event payload {!Sim.schedule_call} hands
+   to the network's [fire] function. *)
+type delivery = {
+  mutable dv_route : route;
+  dv_node : int;       (* receiver; -1 = the controller *)
+  dv_from : int;       (* sender *)
+  dv_port : int;       (* port the receiver sees *)
+  dv_bytes : Bytes.t;  (* a private copy after a [Corrupt] verdict *)
+  mutable dv_owner : owner;
+}
+
 type t = {
   sim : Sim.t;
   topo : Topologies.t;
   cfg : config;
-  ports : int array array; (* node -> port -> neighbor *)
-  mutable handlers : (event -> unit) array;
+  (* Per-(node, port) tables, built once: the neighbour, the port it
+     receives on, link latency plus the receiver's processing time, and
+     whether the link is down (kept current by [fail_link] /
+     [restore_link], for both of its ends). *)
+  ports : int array array;
+  port_rx : int array array;
+  port_delay : float array array;
+  port_down : bool array array;
+  data_handlers : (port:int -> Bytes.t -> unit) array;
+  control_handlers : (Bytes.t -> unit) array;
   mutable controller_handler : (from:int -> Bytes.t -> unit) option;
   mutable data_fault : (from:int -> to_:int -> Bytes.t -> fault) option;
   mutable control_fault : (dir:ctl_direction -> Bytes.t -> fault) option;
@@ -93,9 +121,9 @@ type t = {
   mutable observers : (float -> int -> int -> Bytes.t -> unit) list;
   mutable topo_observers : (topo_event -> unit) list;
   node_down : bool array;
-  link_failed : (int * int, unit) Hashtbl.t; (* normalized (min, max) *)
   ctl_latency : float array; (* per-node control-plane latency (Geo/Fixed) *)
   mutable controller_busy_until : float;
+  mutable fire : delivery -> unit;
   metrics : Obs.Metrics.t;
   stats : stats_handles;
 }
@@ -131,31 +159,62 @@ let make_stats_handles metrics =
       Array.init kind_space (fun k -> c ("net.ctl.kind." ^ kind_names.(k)));
   }
 
-let create ?(config = default_config) sim topo =
-  let g = topo.Topologies.graph in
-  let n = Graph.node_count g in
-  let ports = Array.init n (fun node -> Array.of_list (Graph.neighbors g node)) in
-  let metrics = Obs.Metrics.create () in
-  {
-    sim;
-    topo;
-    cfg = config;
-    ports;
-    handlers = Array.make n (fun _ -> ());
-    controller_handler = None;
-    data_fault = None;
-    control_fault = None;
-    control_classifier = None;
-    flow_extractor = None;
-    observers = [];
-    topo_observers = [];
-    node_down = Array.make n false;
-    link_failed = Hashtbl.create 8;
-    ctl_latency = compute_ctl_latencies topo config;
-    controller_busy_until = 0.0;
-    metrics;
-    stats = make_stats_handles metrics;
-  }
+(* ------------------------------------------------------------------ *)
+(* Frame pool                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Free-list pool of frame buffers, one stack per frame length.  A
+   frame sent with [~pooled:true] comes back here once its last delivery
+   has run (see [release]).  Each stack is capped so a burst cannot pin
+   an unbounded byte arena, and only short frames are pooled. *)
+type pool = { mutable store : Bytes.t array; mutable n : int }
+
+let pool_cap = 4096
+let max_pooled_len = 64
+let pools = Array.init (max_pooled_len + 1) (fun _ -> { store = [||]; n = 0 })
+
+let take_frame len =
+  if len < 0 || len > max_pooled_len then Bytes.create len
+  else begin
+    let pool = pools.(len) in
+    if pool.n = 0 then Bytes.create len
+    else begin
+      pool.n <- pool.n - 1;
+      pool.store.(pool.n)
+    end
+  end
+
+let release_frame b =
+  let len = Bytes.length b in
+  if len <= max_pooled_len then begin
+    let pool = pools.(len) in
+    if pool.n < pool_cap then begin
+      if pool.n = Array.length pool.store then begin
+        let store = Array.make (max 64 (2 * Array.length pool.store)) Bytes.empty in
+        Array.blit pool.store 0 store 0 pool.n;
+        pool.store <- store
+      end;
+      pool.store.(pool.n) <- b;
+      pool.n <- pool.n + 1
+    end
+  end
+
+let pooled_frames () = Array.fold_left (fun acc pool -> acc + pool.n) 0 pools
+
+(* ------------------------------------------------------------------ *)
+(* Ports and devices                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let port_of ports ~node ~neighbor =
+  let arr = ports.(node) in
+  let rec find i =
+    if i >= Array.length arr then
+      invalid_arg
+        (Printf.sprintf "Netsim.port_of_neighbor: %d is not adjacent to %d" neighbor node)
+    else if arr.(i) = neighbor then i
+    else find (i + 1)
+  in
+  find 0
 
 let sim t = t.sim
 let topology t = t.topo
@@ -190,18 +249,12 @@ let neighbor_of_port t ~node ~port =
   if port < 0 || port >= Array.length t.ports.(node) then None
   else Some t.ports.(node).(port)
 
-let port_of_neighbor t ~node ~neighbor =
-  let arr = t.ports.(node) in
-  let rec find i =
-    if i >= Array.length arr then
-      invalid_arg
-        (Printf.sprintf "Netsim.port_of_neighbor: %d is not adjacent to %d" neighbor node)
-    else if arr.(i) = neighbor then i
-    else find (i + 1)
-  in
-  find 0
+let port_of_neighbor t ~node ~neighbor = port_of t.ports ~node ~neighbor
 
-let attach t ~node handler = t.handlers.(node) <- handler
+let attach t ~node ~data ~control =
+  t.data_handlers.(node) <- data;
+  t.control_handlers.(node) <- control
+
 let set_controller t handler = t.controller_handler <- Some handler
 let set_data_fault t hook = t.data_fault <- Some hook
 let clear_data_fault t = t.data_fault <- None
@@ -231,10 +284,17 @@ let on_topology_event t f = t.topo_observers <- t.topo_observers @ [ f ]
 (* Topology failures                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let link_key u v = (min u v, max u v)
-
 let node_is_up t ~node = not t.node_down.(node)
-let link_is_up t u v = not (Hashtbl.mem t.link_failed (link_key u v))
+
+let link_is_up t u v =
+  match port_of t.ports ~node:u ~neighbor:v with
+  | port -> not t.port_down.(u).(port)
+  | exception Invalid_argument _ -> true
+
+let set_link_down t u v down =
+  let pu = port_of t.ports ~node:u ~neighbor:v in
+  t.port_down.(u).(pu) <- down;
+  t.port_down.(v).(t.port_rx.(u).(pu)) <- down
 
 let fire_topo_event t ev =
   (let node, a, b =
@@ -266,7 +326,7 @@ let fail_link t ~u ~v ~at =
   check_link t u v "fail_link";
   Sim.schedule_at t.sim ~time:at (fun () ->
       if link_is_up t u v then begin
-        Hashtbl.replace t.link_failed (link_key u v) ();
+        set_link_down t u v true;
         fire_topo_event t (Link_down (u, v))
       end)
 
@@ -274,7 +334,7 @@ let restore_link t ~u ~v ~at =
   check_link t u v "restore_link";
   Sim.schedule_at t.sim ~time:at (fun () ->
       if not (link_is_up t u v) then begin
-        Hashtbl.remove t.link_failed (link_key u v);
+        set_link_down t u v false;
         fire_topo_event t (Link_up (u, v))
       end)
 
@@ -293,7 +353,7 @@ let restore_node t ~node ~at =
       end)
 
 (* ------------------------------------------------------------------ *)
-(* Latency and faults                                                   *)
+(* Latency                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let sample_ctl_latency t ~node =
@@ -302,162 +362,6 @@ let sample_ctl_latency t ~node =
   | Geo | Fixed _ -> t.ctl_latency.(node)
 
 let control_latency_of t ~node = sample_ctl_latency t ~node
-
-let corrupt_bytes rng bytes =
-  let b = Bytes.copy bytes in
-  if Bytes.length b > 0 then begin
-    let i = Random.State.int rng (Bytes.length b) in
-    let bit = 1 lsl Random.State.int rng 8 in
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor bit))
-  end;
-  b
-
-let duplicate_gap_ms = 0.01
-
-(* Apply a fault verdict to a packet.  The duplicate's extra copy is put
-   through the hook at most once more (it may itself be dropped, delayed
-   or corrupted), and a [Duplicate] verdict on the copy is absorbed as
-   [Deliver] so duplicate-of-duplicate storms are impossible. *)
-let fault_instant name =
-  if Obs.Trace.enabled () then Obs.Trace.instant ~cat:"fault" name
-
-let rec apply_fault t ~hook ~deliver ~delay ~dup_budget bytes =
-  match hook bytes with
-  | Deliver -> deliver bytes delay
-  | Drop ->
-    Obs.Metrics.incr t.stats.h_dropped_by_fault;
-    fault_instant "fault.drop"
-  | Delay extra ->
-    Obs.Metrics.incr t.stats.h_delayed_by_fault;
-    fault_instant "fault.delay";
-    deliver bytes (delay +. Float.max 0.0 extra)
-  | Corrupt ->
-    Obs.Metrics.incr t.stats.h_corrupted_by_fault;
-    fault_instant "fault.corrupt";
-    deliver (corrupt_bytes (Sim.rng t.sim) bytes) delay
-  | Duplicate when dup_budget <= 0 -> deliver bytes delay
-  | Duplicate ->
-    Obs.Metrics.incr t.stats.h_duplicated_by_fault;
-    fault_instant "fault.duplicate";
-    deliver bytes delay;
-    apply_fault t ~hook ~deliver
-      ~delay:(delay +. duplicate_gap_ms)
-      ~dup_budget:(dup_budget - 1) bytes
-
-let no_fault _ = Deliver
-
-(* Per-send reference count for pooled payload buffers.  The sender's
-   [?recycle] hook must run exactly once, after the issuance and every
-   scheduled delivery of this send (fault duplicates included) have
-   completed — the earliest point at which the frame may return to its
-   pool.  The count starts at 1 (the issuance guard, released when the
-   send call itself finishes, covering Drop verdicts and every
-   dead-node/dead-link early return); each scheduled delivery retains
-   once and releases after its thunk runs.  With no [?recycle] (a frame
-   that is not pooled) all of this is a no-op. *)
-type refcount = { mutable refs : int; rc_recycle : unit -> unit }
-
-let rc_make = function
-  | None -> None
-  | Some recycle -> Some { refs = 1; rc_recycle = recycle }
-
-let rc_retain = function None -> () | Some rc -> rc.refs <- rc.refs + 1
-
-let rc_release = function
-  | None -> ()
-  | Some rc ->
-    rc.refs <- rc.refs - 1;
-    if rc.refs = 0 then rc.rc_recycle ()
-
-(* ------------------------------------------------------------------ *)
-(* Data plane                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let deliver_data t ~via ~node ~port ~rc bytes delay =
-  rc_retain rc;
-  Sim.schedule ?tag:(delivery_tag t ~kind:"data" ~node bytes) t.sim ~delay (fun () ->
-      (* A packet in flight is lost if the link or the receiver went down
-         before it arrived. *)
-      (if t.node_down.(node) || not (link_is_up t via node) then
-         Obs.Metrics.incr t.stats.h_dropped_by_failure
-       else begin
-         Obs.Metrics.incr t.stats.h_data_packets;
-         Obs.Flight_recorder.note ~now:(Sim.now t.sim)
-           ~kind:Obs.Flight_recorder.k_deliver ~node ~flow:(-1) ~a:via ~b:port;
-         if Obs.Trace.enabled () then
-           Obs.Trace.instant ~cat:"net" ~node "data.rx"
-             ~attrs:[ Obs.Trace.int "from" via; Obs.Trace.int "port" port ];
-         List.iter (fun f -> f (Sim.now t.sim) node port bytes) t.observers;
-         t.handlers.(node) (Data { port; bytes })
-       end);
-      rc_release rc)
-
-let transmit ?recycle t ~from ~port bytes =
-  let rc = rc_make recycle in
-  (match neighbor_of_port t ~node:from ~port with
-  | None -> () (* unbound port: packet leaves the modelled network *)
-  | Some neighbor ->
-    if t.node_down.(from) then () (* a dead node emits nothing *)
-    else if t.node_down.(neighbor) || not (link_is_up t from neighbor) then
-      Obs.Metrics.incr t.stats.h_dropped_by_failure
-    else begin
-      let link = Graph.latency (graph t) from neighbor in
-      let delay = link +. t.cfg.switch_processing_ms in
-      let rx_port = port_of_neighbor t ~node:neighbor ~neighbor:from in
-      let hook =
-        match t.data_fault with
-        | None -> no_fault
-        | Some hook -> hook ~from ~to_:neighbor
-      in
-      apply_fault t ~hook
-        ~deliver:(fun bytes delay ->
-          deliver_data t ~via:from ~node:neighbor ~port:rx_port ~rc bytes delay)
-        ~delay ~dup_budget:1 bytes
-    end);
-  rc_release rc
-
-(* Ingress port reported to a device for a host-injected packet.  Distinct
-   from the resubmit pseudo-port (-1); devices translate it to their own
-   host-facing pseudo ingress (e.g. [Switch.host_port]). *)
-let port_host = -2
-
-let host_inject ?(delay = 0.0) ?recycle t ~node bytes =
-  Obs.Metrics.incr t.stats.h_data_injected;
-  Obs.Flight_recorder.note ~now:(Sim.now t.sim) ~kind:Obs.Flight_recorder.k_inject
-    ~node ~flow:(-1) ~a:(Bytes.length bytes) ~b:0;
-  let rc = rc_make recycle in
-  rc_retain rc;
-  Sim.schedule
-    ?tag:(delivery_tag t ~kind:"inject" ~node bytes)
-    t.sim ~delay
-    (fun () ->
-      (if node_is_up t ~node then t.handlers.(node) (Data { port = port_host; bytes })
-       else Obs.Metrics.incr t.stats.h_dropped_by_failure);
-      rc_release rc);
-  rc_release rc
-
-let resubmit ?recycle t ~node bytes =
-  Obs.Metrics.incr t.stats.h_resubmissions;
-  let rc = rc_make recycle in
-  rc_retain rc;
-  Sim.schedule
-    ?tag:(delivery_tag t ~kind:"resubmit" ~node bytes)
-    t.sim ~delay:t.cfg.resubmit_delay_ms
-    (fun () ->
-      if node_is_up t ~node then t.handlers.(node) (Data { port = -1; bytes });
-      rc_release rc);
-  rc_release rc
-
-(* ------------------------------------------------------------------ *)
-(* Control plane                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let classify_control t bytes =
-  match t.control_classifier with
-  | None -> ()
-  | Some f ->
-    let kind = match f bytes with Some k when k > 0 && k < kind_space -> k | _ -> 0 in
-    Obs.Metrics.incr t.stats.h_control_kind_tx.(kind)
 
 (* The controller is a single-thread FIFO server: each message (in either
    direction) occupies it for [controller_service_ms]. *)
@@ -471,62 +375,290 @@ let controller_slot t =
   t.controller_busy_until <- start +. t.cfg.controller_service_ms +. background;
   t.controller_busy_until -. now
 
-let control_hook t ~dir =
-  match t.control_fault with None -> no_fault | Some hook -> hook ~dir
+(* ------------------------------------------------------------------ *)
+(* Deliveries                                                           *)
+(* ------------------------------------------------------------------ *)
 
-let notify_controller ?recycle t ~from bytes =
-  let rc = rc_make recycle in
-  (if t.node_down.(from) then
-     Obs.Metrics.incr t.stats.h_dropped_by_failure
-   else begin
-     Obs.Metrics.incr t.stats.h_control_to_controller;
-     classify_control t bytes;
-     let uplink = sample_ctl_latency t ~node:from in
-     apply_fault t
-       ~hook:(control_hook t ~dir:(To_controller from))
-       ~deliver:(fun bytes delay ->
-         rc_retain rc;
-         Sim.schedule
-           ?tag:(delivery_tag t ~kind:"ctl.up" ~node:(-1) bytes)
-           t.sim ~delay
-           (fun () ->
-             let service_done = controller_slot t in
-             Sim.schedule t.sim ~delay:service_done (fun () ->
-                 (match t.controller_handler with
-                 | Some handler -> handler ~from bytes
-                 | None -> ());
-                 rc_release rc)))
-       ~delay:uplink ~dup_budget:1 bytes
-   end);
-  rc_release rc
+(* The frame goes back to the pool after the last delivery carrying it. *)
+let release dv =
+  match dv.dv_owner with
+  | Unpooled -> ()
+  | Pooled -> release_frame dv.dv_bytes
+  | Shared s ->
+    s.refs <- s.refs - 1;
+    if s.refs = 0 then release_frame dv.dv_bytes
 
-let controller_transmit ?recycle t ~to_ bytes =
+let rec notify_observers now node port bytes = function
+  | [] -> ()
+  | f :: rest ->
+    f now node port bytes;
+    notify_observers now node port bytes rest
+
+let fire_delivery t dv =
+  let node = dv.dv_node in
+  match dv.dv_route with
+  | Link ->
+    (* A packet in flight is lost if the link or the receiver went down
+       before it arrived. *)
+    let port = dv.dv_port in
+    (if t.node_down.(node) || t.port_down.(node).(port) then
+       Obs.Metrics.incr t.stats.h_dropped_by_failure
+     else begin
+       Obs.Metrics.incr t.stats.h_data_packets;
+       Obs.Flight_recorder.note ~now:(Sim.now t.sim)
+         ~kind:Obs.Flight_recorder.k_deliver ~node ~flow:(-1) ~a:dv.dv_from ~b:port;
+       if Obs.Trace.enabled () then
+         Obs.Trace.instant ~cat:"net" ~node "data.rx"
+           ~attrs:[ Obs.Trace.int "from" dv.dv_from; Obs.Trace.int "port" port ];
+       notify_observers (Sim.now t.sim) node port dv.dv_bytes t.observers;
+       t.data_handlers.(node) ~port dv.dv_bytes
+     end);
+    release dv
+  | Host ->
+    if t.node_down.(node) then Obs.Metrics.incr t.stats.h_dropped_by_failure
+    else t.data_handlers.(node) ~port:dv.dv_port dv.dv_bytes;
+    release dv
+  | Loop ->
+    if not t.node_down.(node) then t.data_handlers.(node) ~port:dv.dv_port dv.dv_bytes;
+    release dv
+  | Uplink ->
+    dv.dv_route <- Serve;
+    Sim.schedule_call t.sim ~delay:(controller_slot t) t.fire dv
+  | Serve ->
+    (match t.controller_handler with
+     | Some handler -> handler ~from:dv.dv_from dv.dv_bytes
+     | None -> ());
+    release dv
+  | Downlink ->
+    if t.node_down.(node) then Obs.Metrics.incr t.stats.h_dropped_by_failure
+    else t.control_handlers.(node) dv.dv_bytes;
+    release dv
+
+let tag_kind = function
+  | Link -> "data"
+  | Host -> "inject"
+  | Loop -> "resubmit"
+  | Uplink | Serve -> "ctl.up"
+  | Downlink -> "ctl.down"
+
+let schedule t route ~node ~from ~port ~owner ~delay bytes =
+  let dv =
+    { dv_route = route; dv_node = node; dv_from = from; dv_port = port; dv_bytes = bytes;
+      dv_owner = owner }
+  in
+  Sim.schedule_call
+    ?tag:(delivery_tag t ~kind:(tag_kind route) ~node bytes)
+    t.sim ~delay t.fire dv;
+  dv
+
+(* ------------------------------------------------------------------ *)
+(* Faults                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let corrupt_bytes rng bytes =
+  let b = Bytes.copy bytes in
+  if Bytes.length b > 0 then begin
+    let i = Random.State.int rng (Bytes.length b) in
+    let bit = 1 lsl Random.State.int rng 8 in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor bit))
+  end;
+  b
+
+let duplicate_gap_ms = 0.01
+
+let fault_instant name =
+  if Obs.Trace.enabled () then Obs.Trace.instant ~cat:"fault" name
+
+(* The installed hook's verdict on a frame about to travel [route]. *)
+let verdict t route ~node ~from bytes =
+  match route with
+  | Link -> (
+    match t.data_fault with None -> Deliver | Some hook -> hook ~from ~to_:node bytes)
+  | Uplink -> (
+    match t.control_fault with
+    | None -> Deliver
+    | Some hook -> hook ~dir:(To_controller from) bytes)
+  | Downlink -> (
+    match t.control_fault with
+    | None -> Deliver
+    | Some hook -> hook ~dir:(To_switch node) bytes)
+  | Host | Loop | Serve -> Deliver
+
+(* Stands for "no delivery carries the frame" in [survive]. *)
+let carried_by_none =
+  { dv_route = Loop; dv_node = -1; dv_from = -1; dv_port = -1; dv_bytes = Bytes.empty;
+    dv_owner = Unpooled }
+
+(* Schedule what survives a (non-[Duplicate]) verdict on [bytes] and
+   return the delivery that carries [bytes] itself, if any.  A [Corrupt]
+   verdict delivers a private copy, so the frame is carried by none. *)
+let survive t route ~node ~from ~port ~owner ~delay bytes = function
+  | Deliver | Duplicate -> schedule t route ~node ~from ~port ~owner ~delay bytes
+  | Drop ->
+    Obs.Metrics.incr t.stats.h_dropped_by_fault;
+    fault_instant "fault.drop";
+    carried_by_none
+  | Delay extra ->
+    Obs.Metrics.incr t.stats.h_delayed_by_fault;
+    fault_instant "fault.delay";
+    schedule t route ~node ~from ~port ~owner ~delay:(delay +. Float.max 0.0 extra) bytes
+  | Corrupt ->
+    Obs.Metrics.incr t.stats.h_corrupted_by_fault;
+    fault_instant "fault.corrupt";
+    let copy = corrupt_bytes (Sim.rng t.sim) bytes in
+    ignore (schedule t route ~node ~from ~port ~owner:Unpooled ~delay copy);
+    carried_by_none
+
+(* Put one frame through the fault hook and schedule what survives.
+   A [Duplicate] verdict delivers the frame and puts the extra copy
+   through the hook once more (it may itself be dropped, delayed or
+   corrupted); a [Duplicate] verdict on the copy is absorbed as
+   [Deliver], so duplicate-of-duplicate storms are impossible.  A pooled
+   frame that no delivery carries goes back to the pool here; when two
+   deliveries carry it they share a count, and the last one returns it. *)
+let send t route ~node ~from ~port ~pooled ~delay bytes =
+  let owner = if pooled then Pooled else Unpooled in
+  match verdict t route ~node ~from bytes with
+  | Duplicate ->
+    Obs.Metrics.incr t.stats.h_duplicated_by_fault;
+    fault_instant "fault.duplicate";
+    let first = schedule t route ~node ~from ~port ~owner ~delay bytes in
+    let second =
+      survive t route ~node ~from ~port ~owner ~delay:(delay +. duplicate_gap_ms) bytes
+        (verdict t route ~node ~from bytes)
+    in
+    if pooled && second != carried_by_none then begin
+      let shared = Shared { refs = 2 } in
+      first.dv_owner <- shared;
+      second.dv_owner <- shared
+    end
+  | v ->
+    if survive t route ~node ~from ~port ~owner ~delay bytes v == carried_by_none && pooled
+    then release_frame bytes
+
+(* ------------------------------------------------------------------ *)
+(* Data plane                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let transmit ?(pooled = false) t ~from ~port bytes =
+  let ports = t.ports.(from) in
+  if port < 0 || port >= Array.length ports then
+    (* unbound port: packet leaves the modelled network *)
+    (if pooled then release_frame bytes)
+  else begin
+    let neighbor = ports.(port) in
+    if t.node_down.(from) then (if pooled then release_frame bytes)
+      (* a dead node emits nothing *)
+    else if t.node_down.(neighbor) || t.port_down.(from).(port) then begin
+      Obs.Metrics.incr t.stats.h_dropped_by_failure;
+      if pooled then release_frame bytes
+    end
+    else
+      send t Link ~node:neighbor ~from ~port:t.port_rx.(from).(port) ~pooled
+        ~delay:t.port_delay.(from).(port) bytes
+  end
+
+(* Ingress port reported to a device for a host-injected packet.  Distinct
+   from the resubmit pseudo-port (-1); devices translate it to their own
+   host-facing pseudo ingress (e.g. [Switch.host_port]). *)
+let port_host = -2
+
+let host_inject ?(delay = 0.0) ?(pooled = false) t ~node bytes =
+  Obs.Metrics.incr t.stats.h_data_injected;
+  Obs.Flight_recorder.note ~now:(Sim.now t.sim) ~kind:Obs.Flight_recorder.k_inject
+    ~node ~flow:(-1) ~a:(Bytes.length bytes) ~b:0;
+  ignore
+    (schedule t Host ~node ~from:(-1) ~port:port_host
+       ~owner:(if pooled then Pooled else Unpooled) ~delay bytes)
+
+let resubmit ?(pooled = false) t ~node bytes =
+  Obs.Metrics.incr t.stats.h_resubmissions;
+  ignore
+    (schedule t Loop ~node ~from:node ~port:(-1)
+       ~owner:(if pooled then Pooled else Unpooled) ~delay:t.cfg.resubmit_delay_ms bytes)
+
+(* ------------------------------------------------------------------ *)
+(* Control plane                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let classify_control t bytes =
+  match t.control_classifier with
+  | None -> ()
+  | Some f ->
+    let kind = match f bytes with Some k when k > 0 && k < kind_space -> k | _ -> 0 in
+    Obs.Metrics.incr t.stats.h_control_kind_tx.(kind)
+
+let notify_controller ?(pooled = false) t ~from bytes =
+  if t.node_down.(from) then begin
+    Obs.Metrics.incr t.stats.h_dropped_by_failure;
+    if pooled then release_frame bytes
+  end
+  else begin
+    Obs.Metrics.incr t.stats.h_control_to_controller;
+    classify_control t bytes;
+    let uplink = sample_ctl_latency t ~node:from in
+    send t Uplink ~node:(-1) ~from ~port:(-1) ~pooled ~delay:uplink bytes
+  end
+
+let controller_transmit ?(pooled = false) t ~to_ bytes =
   Obs.Metrics.incr t.stats.h_control_to_switch;
   classify_control t bytes;
   (* The controller's FIFO slot is paid once at send time; wire-level
      faults (including duplication) happen after the serialization
      point. *)
-  let rc = rc_make recycle in
   let service_done = controller_slot t in
   let downlink = sample_ctl_latency t ~node:to_ in
-  apply_fault t
-    ~hook:(control_hook t ~dir:(To_switch to_))
-    ~deliver:(fun bytes delay ->
-      rc_retain rc;
-      Sim.schedule
-        ?tag:(delivery_tag t ~kind:"ctl.down" ~node:to_ bytes)
-        t.sim ~delay
-        (fun () ->
-          (if t.node_down.(to_) then
-             Obs.Metrics.incr t.stats.h_dropped_by_failure
-           else t.handlers.(to_) (From_controller bytes));
-          rc_release rc))
+  send t Downlink ~node:to_ ~from:(-1) ~port:(-1) ~pooled
     ~delay:(service_done +. downlink +. t.cfg.switch_processing_ms)
-    ~dup_budget:1 bytes;
-  rc_release rc
+    bytes
 
 let rule_update_delay t ~node =
   ignore node;
   match t.cfg.rule_update_mean_ms with
   | None -> 0.0
   | Some mean -> Sim.exponential t.sim ~mean
+
+(* ------------------------------------------------------------------ *)
+(* Construction                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let create ?(config = default_config) sim topo =
+  let g = topo.Topologies.graph in
+  let n = Graph.node_count g in
+  let ports = Array.init n (fun node -> Array.of_list (Graph.neighbors g node)) in
+  let metrics = Obs.Metrics.create () in
+  let t =
+    {
+      sim;
+      topo;
+      cfg = config;
+      ports;
+      port_rx =
+        Array.mapi
+          (fun node nbs -> Array.map (fun nb -> port_of ports ~node:nb ~neighbor:node) nbs)
+          ports;
+      port_delay =
+        Array.mapi
+          (fun node nbs ->
+            Array.map (fun nb -> Graph.latency g node nb +. config.switch_processing_ms) nbs)
+          ports;
+      port_down = Array.map (fun nbs -> Array.make (Array.length nbs) false) ports;
+      data_handlers = Array.make n (fun ~port:_ _ -> ());
+      control_handlers = Array.make n (fun _ -> ());
+      controller_handler = None;
+      data_fault = None;
+      control_fault = None;
+      control_classifier = None;
+      flow_extractor = None;
+      observers = [];
+      topo_observers = [];
+      node_down = Array.make n false;
+      ctl_latency = compute_ctl_latencies topo config;
+      controller_busy_until = 0.0;
+      fire = ignore;
+      metrics;
+      stats = make_stats_handles metrics;
+    }
+  in
+  t.fire <- fire_delivery t;
+  t

@@ -58,10 +58,6 @@ type topo_event =
   | Node_down of int
   | Node_up of int
 
-type event =
-  | Data of { port : int; bytes : Bytes.t }  (** data-plane arrival *)
-  | From_controller of Bytes.t               (** control-plane downlink *)
-
 val create : ?config:config -> Dessim.Sim.t -> Topo.Topologies.t -> t
 
 val sim : t -> Dessim.Sim.t
@@ -77,35 +73,55 @@ val port_of_neighbor : t -> node:int -> neighbor:int -> int
 
 (** {2 Devices} *)
 
-(** [attach t ~node handler] installs the device of [node].  Re-attaching
-    replaces the handler. *)
-val attach : t -> node:int -> (event -> unit) -> unit
+(** [attach t ~node ~data ~control] installs the device of [node]:
+    [data ~port bytes] runs for every data-plane arrival ([port] is the
+    receiving port, {!port_host} for host injections, [-1] for
+    resubmissions), [control bytes] for every controller-to-switch
+    message.  Re-attaching replaces both. *)
+val attach :
+  t -> node:int -> data:(port:int -> Bytes.t -> unit) -> control:(Bytes.t -> unit) -> unit
 
 (** [set_controller t handler] installs the controller message handler
     ([handler ~from bytes]). *)
 val set_controller : t -> (from:int -> Bytes.t -> unit) -> unit
 
-(** {2 Transmission}
+(** {2 Frame pool}
 
-    Each send below takes an optional [?recycle] hook for pooled payload
-    buffers (see [P4update.Wire.recycle_thunk]).  The network retains the
-    buffer once per scheduled delivery — fault duplicates included — and
-    calls [recycle] exactly once, after the send call and the last
-    delivery of it have both completed.  Drop verdicts, dead senders,
-    dead receivers and unbound ports all still release, so a pooled
-    frame can never leak; a [Corrupt] verdict delivers a private copy,
-    so the original is recycled on the same schedule.  Receivers must
-    not hold onto the delivered [Bytes.t] beyond their synchronous
-    handler (every device in this repo decodes immediately). *)
+    Frame buffers of up to 64 bytes are pooled per length, in one
+    process-wide pool shared by every network.  A sender takes a buffer with
+    {!take_frame}, fills it and sends it with [~pooled:true]; the
+    network then owns it and returns it to the pool exactly once, after
+    the last delivery that carries it has run.  A send that schedules no
+    delivery (a [Drop] verdict, a dead sender or receiver, an unbound
+    port) returns it at once, two deliveries of one frame (a [Duplicate]
+    verdict) share a count, and a [Corrupt] verdict delivers a private
+    copy.  Receivers must not hold onto a delivered [Bytes.t] beyond
+    their synchronous handler (every device in this repo decodes
+    immediately).  Without [~pooled:true] (the default) the network
+    never touches the buffer's ownership. *)
+
+(** [take_frame len] is a buffer of [len] bytes from the pool, or a fresh
+    one when the pool has none.  Its content is unspecified. *)
+val take_frame : int -> Bytes.t
+
+(** [release_frame b] returns [b] to the pool of its length.  Only for a
+    frame no delivery still carries. *)
+val release_frame : Bytes.t -> unit
+
+(** Buffers currently in the pool (all lengths). *)
+val pooled_frames : unit -> int
+
+(** {2 Transmission} *)
 
 (** [transmit t ~from ~port bytes] sends on a data link; delivery occurs
-    after link propagation latency plus the receiver's processing time. *)
-val transmit : ?recycle:(unit -> unit) -> t -> from:int -> port:int -> Bytes.t -> unit
+    after link propagation latency plus the receiver's processing time.
+    Neighbour, receive port, delay and link state come from per-(node,
+    port) tables built by {!create}. *)
+val transmit : ?pooled:bool -> t -> from:int -> port:int -> Bytes.t -> unit
 
-(** Loopback re-injection after [resubmit_delay_ms] (BMv2 resubmit).
-    [?recycle] follows the {!transmit} contract: called once, after the
-    re-injection has run (or was lost to a down node). *)
-val resubmit : ?recycle:(unit -> unit) -> t -> node:int -> Bytes.t -> unit
+(** Loopback re-injection after [resubmit_delay_ms] (BMv2 resubmit),
+    lost without a count if the node is down when it fires. *)
+val resubmit : ?pooled:bool -> t -> node:int -> Bytes.t -> unit
 
 (** Ingress port a device sees for a host-injected packet ([-2]); devices
     translate it to their host-facing pseudo ingress. *)
@@ -116,14 +132,14 @@ val port_host : int
     (default 0) simulated ms, through the event queue.  Counted in
     [net.data.injected]; lost (counted as failure drop) if the node is
     down at delivery time. *)
-val host_inject : ?delay:float -> ?recycle:(unit -> unit) -> t -> node:int -> Bytes.t -> unit
+val host_inject : ?delay:float -> ?pooled:bool -> t -> node:int -> Bytes.t -> unit
 
 (** Switch-to-controller message (FRM/UFM). *)
-val notify_controller : ?recycle:(unit -> unit) -> t -> from:int -> Bytes.t -> unit
+val notify_controller : ?pooled:bool -> t -> from:int -> Bytes.t -> unit
 
 (** Controller-to-switch message (UIM, rule installation).  Serialized
     through the controller's FIFO server. *)
-val controller_transmit : ?recycle:(unit -> unit) -> t -> to_:int -> Bytes.t -> unit
+val controller_transmit : ?pooled:bool -> t -> to_:int -> Bytes.t -> unit
 
 (** Extra per-switch latency for applying a rule update; draws from the
     straggler distribution when configured, else 0. *)

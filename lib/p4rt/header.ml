@@ -125,18 +125,23 @@ let[@inline] read_bytes_be buf ~pos ~nbytes =
   done;
   !v
 
-let rec read_field_at schema field buf bit = function
-  | [] -> invalid_arg (Printf.sprintf "Header(%s): unknown field %s" schema.name field)
-  | (f, w) :: rest ->
-    if f <> field then read_field_at schema field buf (bit + w) rest
-    else if bit land 7 = 0 && w land 7 = 0 then
-      read_bytes_be buf ~pos:(bit lsr 3) ~nbytes:(w lsr 3)
-    else read_bits buf ~bit_offset:bit ~width:w
+let field_position schema field =
+  let rec find bit = function
+    | [] -> invalid_arg (Printf.sprintf "Header(%s): unknown field %s" schema.name field)
+    | (f, w) :: rest -> if f = field then (bit, w) else find (bit + w) rest
+  in
+  find 0 schema.field_list
+
+let read_bits_at buf ~bit ~width =
+  if bit land 7 = 0 && width land 7 = 0 then
+    read_bytes_be buf ~pos:(bit lsr 3) ~nbytes:(width lsr 3)
+  else read_bits buf ~bit_offset:bit ~width
 
 let read_field schema field buf offset =
   if offset < 0 || Bytes.length buf < offset + byte_size schema then
     invalid_arg (Printf.sprintf "Header.read_field(%s): buffer too short" schema.name);
-  read_field_at schema field buf (offset * 8) schema.field_list
+  let bit, width = field_position schema field in
+  read_bits_at buf ~bit:((offset * 8) + bit) ~width
 
 let emit inst buf offset =
   if not inst.valid then offset

@@ -41,6 +41,18 @@ val get_bv : inst -> string -> Bitval.t
     [buf], like {!extract}. *)
 val read_field : schema -> string -> Bytes.t -> int -> int
 
+(** [field_position schema field] is [(bit, width)]: where [field]
+    starts, in bits from the start of the header, and its width.  Raises
+    [Invalid_argument] on unknown fields.  Resolve it once and read with
+    {!read_bits_at} to skip the per-read name lookup of {!read_field}. *)
+val field_position : schema -> string -> int * int
+
+(** [read_bits_at buf ~bit ~width] reads the MSB-first unsigned value of
+    [width] bits starting at absolute bit [bit] of [buf], with per-byte
+    loads when both are byte-aligned.  The caller guarantees the bits lie
+    inside [buf]. *)
+val read_bits_at : Bytes.t -> bit:int -> width:int -> int
+
 (** Serialize into [bytes] at [offset]; returns the next offset.  Invalid
     instances emit nothing.  Schemas whose every field width is a
     multiple of 8 (all the P4Update wire schemas) are written with

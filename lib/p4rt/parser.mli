@@ -20,9 +20,17 @@ type state = {
 
 type t
 
-(** Raises [Invalid_argument] when no ["start"] state exists or a
-    transition targets an unknown state. *)
+(** [create states] compiles the parse graph once: states become array
+    indices, each select resolves its field to a bit position in the
+    state's header, and its cases become arrays, so {!admit} and {!run}
+    do no name lookup per packet.  Raises [Invalid_argument] when no
+    ["start"] state exists, two states share a name, a transition targets
+    an unknown state, or a [Select] names a field the state's schema
+    lacks or sits in a state that extracts nothing. *)
 val create : state list -> t
+
+(** The states [t] was created from, as given. *)
+val states : t -> state list
 
 exception Parse_error of string
 

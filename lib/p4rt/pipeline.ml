@@ -143,17 +143,23 @@ let instance_name = function
 
 let no_outcome = { emissions = []; resubmitted = None; to_controller = [] }
 
-(* Egress for one copy of the packet; its digests are appended to the
-   ingress context's.  The emitted frame is the raw output when one was
-   set, else the deparsed packet. *)
-let run_egress t (ictx : ctx) ~kind ~port ~pkt ~out =
-  let ectx = fresh_ctx t ictx.ingress ~pkt ~out ~in_port:ictx.in_port ~kind ~egress:port in
+(* The frame an egress context emits: the raw output when one was set,
+   else the deparsed packet; [None] when egress dropped it. *)
+let emission_of ctx =
+  if ctx.dropped || ctx.egress < 0 then None
+  else
+    let bytes = match ctx.out with Some b -> b | None -> Packet.serialize (packet ctx) in
+    Some { out_port = ctx.egress; bytes }
+
+(* Egress for one clone of the packet; its digests are appended to the
+   ingress context's. *)
+let run_clone_egress t (ictx : ctx) ~port ~pkt ~out =
+  let ectx =
+    fresh_ctx t ictx.ingress ~pkt ~out ~in_port:ictx.in_port ~kind:Cloned ~egress:port
+  in
   t.program.prog_egress ectx;
   ictx.digests <- ictx.digests @ ectx.digests;
-  if ectx.dropped || ectx.egress < 0 then None
-  else
-    let bytes = match ectx.out with Some b -> b | None -> Packet.serialize (packet ectx) in
-    Some { out_port = ectx.egress; bytes }
+  emission_of ectx
 
 let run_program t ~ingress_port ~instance bytes =
   let ctx =
@@ -175,18 +181,25 @@ let run_program t ~ingress_port ~instance bytes =
           | None -> None)
         sessions
   in
-  let main_emission =
-    if ctx.dropped || ctx.egress < 0 then None
-    else run_egress t ctx ~kind:ctx.kind ~port:ctx.egress ~pkt:ctx.pkt ~out:ctx.out
+  (* The main copy's egress runs on the ingress context itself, reset to
+     what a fresh egress context holds (no metadata, no clone requests);
+     everything ingress produced is already taken above, and its digests
+     simply keep accumulating. *)
+  let main =
+    if ctx.dropped || ctx.egress < 0 then []
+    else begin
+      ctx.meta <- None;
+      ctx.clones <- [];
+      t.program.prog_egress ctx;
+      match emission_of ctx with Some e -> [ e ] | None -> []
+    end
   in
   let emissions =
     match clone_jobs with
-    | [] -> Option.to_list main_emission
+    | [] -> main
     | jobs ->
-      Option.to_list main_emission
-      @ List.filter_map
-          (fun (port, pkt, out) -> run_egress t ctx ~kind:Cloned ~port ~pkt ~out)
-          jobs
+      main
+      @ List.filter_map (fun (port, pkt, out) -> run_clone_egress t ctx ~port ~pkt ~out) jobs
   in
   { emissions; resubmitted; to_controller = ctx.digests }
 

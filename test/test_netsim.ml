@@ -14,6 +14,9 @@ let line_topo () =
     controller = 1;
   }
 
+(* A device that reacts the same way to both planes. *)
+let attach_any net ~node f = Netsim.attach net ~node ~data:(fun ~port:_ b -> f b) ~control:f
+
 let test_port_numbering () =
   let net = Netsim.create (Sim.create ()) (line_topo ()) in
   Alcotest.(check int) "node 1 has two ports" 2 (Netsim.port_count net ~node:1);
@@ -28,10 +31,9 @@ let test_transmit_latency () =
   let sim = Sim.create () in
   let net = Netsim.create sim (line_topo ()) in
   let arrival = ref None in
-  Netsim.attach net ~node:1 (fun event ->
-      match event with
-      | Netsim.Data _ -> arrival := Some (Sim.now sim)
-      | Netsim.From_controller _ -> ());
+  Netsim.attach net ~node:1
+    ~data:(fun ~port:_ _ -> arrival := Some (Sim.now sim))
+    ~control:ignore;
   Netsim.transmit net ~from:0 ~port:0 (Bytes.of_string "x");
   let _ = Sim.run sim in
   match !arrival with
@@ -52,10 +54,9 @@ let test_controller_fifo_serialization () =
   let sim = Sim.create () in
   let net = Netsim.create sim (line_topo ()) in
   let arrivals = ref [] in
-  Netsim.attach net ~node:0 (fun event ->
-      match event with
-      | Netsim.From_controller _ -> arrivals := Sim.now sim :: !arrivals
-      | Netsim.Data _ -> ());
+  Netsim.attach net ~node:0
+    ~data:(fun ~port:_ _ -> ())
+    ~control:(fun _ -> arrivals := Sim.now sim :: !arrivals);
   Netsim.controller_transmit net ~to_:0 (Bytes.of_string "a");
   Netsim.controller_transmit net ~to_:0 (Bytes.of_string "b");
   let _ = Sim.run sim in
@@ -72,7 +73,7 @@ let test_fault_drop () =
   let sim = Sim.create () in
   let net = Netsim.create sim (line_topo ()) in
   let received = ref 0 in
-  Netsim.attach net ~node:1 (fun _ -> incr received);
+  attach_any net ~node:1 (fun _ -> incr received);
   Netsim.set_data_fault net (fun ~from:_ ~to_:_ _ -> Netsim.Drop);
   Netsim.transmit net ~from:0 ~port:0 (Bytes.of_string "x");
   let _ = Sim.run sim in
@@ -87,7 +88,7 @@ let test_fault_duplicate () =
   let sim = Sim.create () in
   let net = Netsim.create sim (line_topo ()) in
   let received = ref 0 in
-  Netsim.attach net ~node:1 (fun _ -> incr received);
+  attach_any net ~node:1 (fun _ -> incr received);
   Netsim.set_data_fault net (fun ~from:_ ~to_:_ _ -> Netsim.Duplicate);
   Netsim.transmit net ~from:0 ~port:0 (Bytes.of_string "x");
   let _ = Sim.run sim in
@@ -100,7 +101,7 @@ let test_fault_duplicate_no_storm () =
   let sim = Sim.create () in
   let net = Netsim.create sim (line_topo ()) in
   let received = ref 0 and hook_calls = ref 0 in
-  Netsim.attach net ~node:1 (fun _ -> incr received);
+  attach_any net ~node:1 (fun _ -> incr received);
   Netsim.set_data_fault net (fun ~from:_ ~to_:_ _ ->
       incr hook_calls;
       Netsim.Duplicate);
@@ -113,7 +114,7 @@ let test_fault_duplicate_no_storm () =
   (* The copy can still be dropped. *)
   let received2 = ref 0 in
   let net2 = Netsim.create (Sim.create ()) (line_topo ()) in
-  Netsim.attach net2 ~node:1 (fun _ -> incr received2);
+  attach_any net2 ~node:1 (fun _ -> incr received2);
   let first = ref true in
   Netsim.set_data_fault net2 (fun ~from:_ ~to_:_ _ ->
       if !first then begin
@@ -128,7 +129,7 @@ let test_fault_duplicate_no_storm () =
 let test_fault_outcome_counters () =
   let sim = Sim.create ~seed:7 () in
   let net = Netsim.create sim (line_topo ()) in
-  Netsim.attach net ~node:1 (fun _ -> ());
+  attach_any net ~node:1 (fun _ -> ());
   let verdicts = ref [ Netsim.Delay 3.0; Netsim.Corrupt; Netsim.Duplicate; Netsim.Drop ] in
   Netsim.set_data_fault net (fun ~from:_ ~to_:_ _ ->
       match !verdicts with
@@ -150,8 +151,7 @@ let test_control_fault_both_directions () =
   let sim = Sim.create () in
   let net = Netsim.create sim (line_topo ()) in
   let downlink = ref 0 and uplink = ref 0 in
-  Netsim.attach net ~node:0 (fun event ->
-      match event with Netsim.From_controller _ -> incr downlink | Netsim.Data _ -> ());
+  Netsim.attach net ~node:0 ~data:(fun ~port:_ _ -> ()) ~control:(fun _ -> incr downlink);
   Netsim.set_controller net (fun ~from:_ _ -> incr uplink);
   let directions = ref [] in
   Netsim.set_control_fault net (fun ~dir _ ->
@@ -174,7 +174,7 @@ let test_control_fault_both_directions () =
 let test_control_kind_counters () =
   let sim = Sim.create () in
   let net = Netsim.create sim (line_topo ()) in
-  Netsim.attach net ~node:0 (fun _ -> ());
+  attach_any net ~node:0 (fun _ -> ());
   Netsim.set_controller net (fun ~from:_ _ -> ());
   (* Classify by first byte, like the harness does with Wire kinds. *)
   Netsim.set_control_classifier net (fun bytes ->
@@ -192,7 +192,7 @@ let test_link_failure_loses_packets () =
   let sim = Sim.create () in
   let net = Netsim.create sim (line_topo ()) in
   let received = ref 0 in
-  Netsim.attach net ~node:1 (fun _ -> incr received);
+  attach_any net ~node:1 (fun _ -> incr received);
   let events = ref [] in
   Netsim.on_topology_event net (fun ev -> events := ev :: !events);
   Netsim.fail_link net ~u:0 ~v:1 ~at:10.0;
@@ -216,7 +216,7 @@ let test_node_failure_silences_node () =
   let sim = Sim.create () in
   let net = Netsim.create sim (line_topo ()) in
   let received_at_1 = ref 0 and uplink = ref 0 in
-  Netsim.attach net ~node:1 (fun _ -> incr received_at_1);
+  attach_any net ~node:1 (fun _ -> incr received_at_1);
   Netsim.set_controller net (fun ~from:_ _ -> incr uplink);
   Netsim.fail_node net ~node:1 ~at:10.0;
   Netsim.restore_node net ~node:1 ~at:50.0;
@@ -238,7 +238,7 @@ let test_node_failure_silences_node () =
 let test_observer_sees_delivery () =
   let sim = Sim.create () in
   let net = Netsim.create sim (line_topo ()) in
-  Netsim.attach net ~node:1 (fun _ -> ());
+  attach_any net ~node:1 (fun _ -> ());
   let seen = ref [] in
   Netsim.on_delivery net (fun _time node port bytes ->
       seen := (node, port, Bytes.to_string bytes) :: !seen);
@@ -264,26 +264,93 @@ let test_control_latency_geo () =
   Alcotest.(check (float 0.001)) "geo latency" 5.0 (Netsim.control_latency_of net ~node:0);
   Alcotest.(check (float 0.001)) "geo latency 2" 7.0 (Netsim.control_latency_of net ~node:2)
 
-(* The waiting loop's resubmissions carry pooled frames: [?recycle] runs
-   once, after the re-injection was handled — or lost to a down node. *)
+(* The waiting loop's resubmissions carry pooled frames: the network
+   returns the frame once, after the re-injection was handled — or lost
+   to a down node.  Frames of a length nothing else pools keep the
+   global pool count readable. *)
 let test_resubmit_recycles_after_delivery () =
   let sim = Sim.create () in
   let net = Netsim.create sim (line_topo ()) in
+  let before = Netsim.pooled_frames () in
   let log = ref [] in
-  Netsim.attach net ~node:1 (fun _ -> log := "handled" :: !log);
-  Netsim.resubmit ~recycle:(fun () -> log := "recycled" :: !log) net ~node:1
-    (Bytes.of_string "x");
-  Alcotest.(check (list string)) "held while scheduled" [] !log;
+  attach_any net ~node:1 (fun _ ->
+      log := Printf.sprintf "handled, %d pooled" (Netsim.pooled_frames () - before) :: !log);
+  Netsim.resubmit ~pooled:true net ~node:1 (Bytes.make 47 'x');
+  Alcotest.(check int) "held while scheduled" before (Netsim.pooled_frames ());
   ignore (Sim.run sim);
-  Alcotest.(check (list string)) "recycled once, after the handler"
-    [ "handled"; "recycled" ] (List.rev !log);
-  log := [];
+  Alcotest.(check (list string)) "handled before the return" [ "handled, 0 pooled" ] !log;
+  Alcotest.(check int) "returned once, after the handler" (before + 1)
+    (Netsim.pooled_frames ());
   Netsim.fail_node net ~node:1 ~at:(Sim.now sim);
   ignore (Sim.run sim);
-  Netsim.resubmit ~recycle:(fun () -> log := "recycled" :: !log) net ~node:1
-    (Bytes.of_string "y");
+  Netsim.resubmit ~pooled:true net ~node:1 (Bytes.make 47 'y');
   ignore (Sim.run sim);
-  Alcotest.(check (list string)) "a lost re-injection still recycles" [ "recycled" ] !log
+  Alcotest.(check int) "a lost re-injection is returned too" (before + 2)
+    (Netsim.pooled_frames ())
+
+(* Every fault verdict returns a pooled frame exactly once, and never
+   while a delivery still carries it. *)
+let test_verdicts_recycle_once () =
+  List.iter
+    (fun (name, verdicts, deliveries) ->
+      let sim = Sim.create ~seed:3 () in
+      let net = Netsim.create sim (line_topo ()) in
+      let frame = Bytes.make 53 'p' in
+      let before = Netsim.pooled_frames () in
+      let received = ref 0 and early = ref 0 in
+      Netsim.attach net ~node:1 ~control:ignore ~data:(fun ~port:_ b ->
+          incr received;
+          if b == frame && Netsim.pooled_frames () <> before then incr early);
+      let pending = ref verdicts in
+      Netsim.set_data_fault net (fun ~from:_ ~to_:_ _ ->
+          match !pending with
+          | v :: rest ->
+            pending := rest;
+            v
+          | [] -> Netsim.Deliver);
+      Netsim.transmit ~pooled:true net ~from:0 ~port:0 frame;
+      ignore (Sim.run sim);
+      Alcotest.(check int) (name ^ ": deliveries") deliveries !received;
+      Alcotest.(check int) (name ^ ": returned while carried") 0 !early;
+      Alcotest.(check int) (name ^ ": returned once") (before + 1) (Netsim.pooled_frames ()))
+    [
+      ("deliver", [], 1);
+      ("drop", [ Netsim.Drop ], 0);
+      ("delay", [ Netsim.Delay 2.0 ], 1);
+      ("corrupt", [ Netsim.Corrupt ], 1);
+      ("duplicate", [ Netsim.Duplicate; Netsim.Deliver ], 2);
+      ("duplicate, copy dropped", [ Netsim.Duplicate; Netsim.Drop ], 1);
+      ("duplicate, copy corrupted", [ Netsim.Duplicate; Netsim.Corrupt ], 2);
+      ("duplicate, copy delayed", [ Netsim.Duplicate; Netsim.Delay 1.0 ], 2);
+    ]
+
+(* Fault-free data transmission allocates one delivery record (7 words)
+   per hop plus float boxes for the delay, the popped event time and the
+   calendar cursor: measured 20.3 words (OCaml 5.1, x86-64), bound with
+   20% headroom.  A closure, refcount or variant box per send would
+   break it. *)
+let transmit_words_bound = 24
+
+let test_transmit_allocation_bounded () =
+  let sim = Sim.create () in
+  let net = Netsim.create sim (line_topo ()) in
+  Netsim.attach net ~node:1 ~control:ignore ~data:(fun ~port:_ _ -> ());
+  let sends = 10_000 in
+  let round () =
+    for _ = 1 to sends do
+      Netsim.transmit ~pooled:true net ~from:0 ~port:0 (Netsim.take_frame 59)
+    done;
+    ignore (Sim.run sim)
+  in
+  round ();
+  let words0 = Gc.minor_words () in
+  round ();
+  let per_delivery = (Gc.minor_words () -. words0) /. float_of_int sends in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per transmit + delivery (bound %d)" per_delivery
+       transmit_words_bound)
+    true
+    (per_delivery <= float_of_int transmit_words_bound)
 
 let suite =
   [
@@ -302,6 +369,10 @@ let suite =
     Alcotest.test_case "node failure silences node" `Quick test_node_failure_silences_node;
     Alcotest.test_case "resubmit recycles after delivery" `Quick
       test_resubmit_recycles_after_delivery;
+    Alcotest.test_case "every verdict recycles a pooled frame once" `Quick
+      test_verdicts_recycle_once;
+    Alcotest.test_case "transmit + delivery allocation bounded" `Quick
+      test_transmit_allocation_bounded;
     Alcotest.test_case "delivery observer" `Quick test_observer_sees_delivery;
     Alcotest.test_case "straggler distribution" `Quick test_straggler_distribution;
     Alcotest.test_case "geo control latency" `Quick test_control_latency_geo;

@@ -136,34 +136,34 @@ let cyclic_parser =
 let parse_verdict f =
   match f () with n -> Some n | exception Parser.Parse_error _ -> None
 
+(* Random frames, with the selector bytes biased toward the values the
+   two graphs branch on so every path is reached: Wire etypes at bytes
+   4-5, and the nib kind/flag nibbles at byte 0. *)
+let frame_gen =
+  QCheck.Gen.(
+    let* s = string_size ~gen:char (int_range 0 40) in
+    let* patch = int_bound 5 in
+    let b = Bytes.of_string s in
+    let len = Bytes.length b in
+    (match patch with
+     | 0 when len >= 6 -> Bytes.set_uint16_be b 4 P4update.Wire.etype_control
+     | 1 when len >= 6 -> Bytes.set_uint16_be b 4 P4update.Wire.etype_data
+     | 2 | 3 | 4 when len >= 1 ->
+       (* kind 1: opt loop; kind 2: spin cycle; kind 0, flag 3: the
+          nested select's case *)
+       let kind, flag =
+         match patch with
+         | 2 -> (1, Bytes.get_uint8 b 0 land 0xf)
+         | 3 -> (2, Bytes.get_uint8 b 0 land 0xf)
+         | _ -> (0, 3)
+       in
+       Bytes.set_uint8 b 0 ((kind lsl 4) lor flag)
+     | _ -> ());
+    return (Bytes.to_string b))
+
 let prop_admit_matches_run =
-  (* Random frames, with the selector bytes biased toward the values the
-     two graphs branch on so every path is reached: Wire etypes at bytes
-     4-5, and the nib kind/flag nibbles at byte 0. *)
-  let gen =
-    QCheck.Gen.(
-      let* s = string_size ~gen:char (int_range 0 40) in
-      let* patch = int_bound 5 in
-      let b = Bytes.of_string s in
-      let len = Bytes.length b in
-      (match patch with
-       | 0 when len >= 6 -> Bytes.set_uint16_be b 4 P4update.Wire.etype_control
-       | 1 when len >= 6 -> Bytes.set_uint16_be b 4 P4update.Wire.etype_data
-       | 2 | 3 | 4 when len >= 1 ->
-         (* kind 1: opt loop; kind 2: spin cycle; kind 0, flag 3: the
-            nested select's case *)
-         let kind, flag =
-           match patch with
-           | 2 -> (1, Bytes.get_uint8 b 0 land 0xf)
-           | 3 -> (2, Bytes.get_uint8 b 0 land 0xf)
-           | _ -> (0, 3)
-         in
-         Bytes.set_uint8 b 0 ((kind lsl 4) lor flag)
-       | _ -> ());
-      return (Bytes.to_string b))
-  in
   QCheck.Test.make ~name:"parser admission raises exactly when run does" ~count:1000
-    (QCheck.make ~print:String.escaped gen)
+    (QCheck.make ~print:String.escaped frame_gen)
     (fun s ->
       let b = Bytes.of_string s in
       List.for_all
@@ -172,6 +172,103 @@ let prop_admit_matches_run =
           = parse_verdict (fun () ->
                 Bytes.length b - Bytes.length (Parser.run parser b).Packet.payload))
         [ P4update.Wire.parser; cyclic_parser ])
+
+(* The interpreted walker [Parser.create] compiles away, kept here as
+   the oracle of the compiled one: states found by name and select
+   fields read by name on every packet, as the parse graph is written. *)
+let interpreted_offset states bytes =
+  let error msg = raise (Parser.Parse_error msg) in
+  let rec walk name offset visits =
+    if visits > 64 then error "state visit budget exceeded";
+    let st =
+      match List.find_opt (fun s -> s.Parser.state_name = name) states with
+      | Some st -> st
+      | None -> error ("unknown state " ^ name)
+    in
+    match st.Parser.extracts with
+    | None -> decide st offset offset visits st.Parser.transition
+    | Some schema ->
+      let size = Header.byte_size schema in
+      if Bytes.length bytes < offset + size then
+        error
+          (Printf.sprintf "Header.extract(%s): buffer too short" (Header.schema_name schema));
+      decide st offset (offset + size) visits st.Parser.transition
+  and decide st start offset visits = function
+    | Parser.Accept -> offset
+    | Parser.Goto name -> walk name offset (visits + 1)
+    | Parser.Select (field, cases, default) -> (
+      match st.Parser.extracts with
+      | None -> error "select without extraction"
+      | Some schema -> (
+        match List.assoc (Header.read_field schema field bytes start) cases with
+        | target -> walk target offset (visits + 1)
+        | exception Not_found -> decide st start offset visits default))
+  in
+  walk "start" 0 0
+
+let outcome f = match f () with n -> Ok n | exception Parser.Parse_error msg -> Error msg
+
+let prop_compiled_matches_interpreted =
+  QCheck.Test.make ~name:"compiled parse graph = interpreted walker" ~count:1000
+    (QCheck.make ~print:String.escaped frame_gen)
+    (fun s ->
+      let b = Bytes.of_string s in
+      List.for_all
+        (fun parser ->
+          outcome (fun () -> Parser.admit parser b)
+          = outcome (fun () -> interpreted_offset (Parser.states parser) b))
+        [ P4update.Wire.parser; cyclic_parser ])
+
+let test_parser_admit_allocates_nothing () =
+  let frames =
+    [
+      P4update.Wire.control_to_bytes (P4update.Wire.control_default P4update.Wire.Uim);
+      P4update.Wire.data_to_bytes
+        { P4update.Wire.d_flow_id = 3; seq = 9; ttl = 8; origin = 1; dst = 2; tag = 0;
+          d_ts = 0 };
+    ]
+  in
+  List.iter
+    (fun frame ->
+      ignore (Parser.admit P4update.Wire.parser frame);
+      let before = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        ignore (Sys.opaque_identity (Parser.admit P4update.Wire.parser frame))
+      done;
+      Alcotest.(check (float 0.0)) "minor words" 0.0 (Gc.minor_words () -. before))
+    frames
+
+let rejects name states =
+  match Parser.create states with
+  | _ -> Alcotest.failf "%s: graph accepted" name
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) (name ^ ": " ^ msg) true
+      (String.length msg > 14 && String.sub msg 0 14 = "Parser.create:")
+
+let test_parser_rejects_duplicate_states () =
+  rejects "duplicate state"
+    [
+      { Parser.state_name = "start"; extracts = Some nib_schema; transition = Goto "opt" };
+      { Parser.state_name = "opt"; extracts = Some opt_schema; transition = Accept };
+      { Parser.state_name = "opt"; extracts = None; transition = Accept };
+    ]
+
+let test_parser_rejects_select_on_missing_field () =
+  rejects "select on a field the schema lacks"
+    [
+      {
+        Parser.state_name = "start";
+        extracts = Some nib_schema;
+        transition = Select ("kind", [ (1, "opt") ], Select ("nope", [ (3, "opt") ], Accept));
+      };
+      { Parser.state_name = "opt"; extracts = Some opt_schema; transition = Accept };
+    ]
+
+let test_parser_rejects_select_without_extraction () =
+  rejects "select in a state that extracts nothing"
+    [
+      { Parser.state_name = "start"; extracts = None; transition = Select ("kind", [], Accept) };
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Registers                                                            *)
@@ -333,6 +430,15 @@ let suite =
     QCheck_alcotest.to_alcotest prop_data_roundtrip;
     Alcotest.test_case "parser rejects truncated" `Quick test_parser_rejects_truncated;
     QCheck_alcotest.to_alcotest prop_admit_matches_run;
+    QCheck_alcotest.to_alcotest prop_compiled_matches_interpreted;
+    Alcotest.test_case "parser admission allocates nothing" `Quick
+      test_parser_admit_allocates_nothing;
+    Alcotest.test_case "parser rejects duplicate states" `Quick
+      test_parser_rejects_duplicate_states;
+    Alcotest.test_case "parser rejects select on a missing field" `Quick
+      test_parser_rejects_select_on_missing_field;
+    Alcotest.test_case "parser rejects select without extraction" `Quick
+      test_parser_rejects_select_without_extraction;
     Alcotest.test_case "register read/write" `Quick test_register_read_write;
     Alcotest.test_case "register bounds" `Quick test_register_bounds;
     Alcotest.test_case "table exact match" `Quick test_table_exact_match;

@@ -194,7 +194,7 @@ let prop_control_codec_equiv =
       let same_bytes = Bytes.equal boxed fast in
       let dec_fast = W.control_of_bytes fast in
       let kind_fast = W.control_kind_of_bytes fast in
-      W.release_frame fast;
+      Netsim.release_frame fast;
       let dec_ref = Option.bind (W.packet_of_bytes boxed) W.control_of_packet in
       same_bytes && dec_fast = Some c && dec_ref = Some c
       && kind_fast = Some (W.msg_kind_to_int c.W.kind))
@@ -208,7 +208,7 @@ let prop_data_codec_equiv =
       let fast = W.data_to_bytes d in
       let same_bytes = Bytes.equal boxed fast in
       let dec_fast = W.data_of_bytes fast in
-      W.release_frame fast;
+      Netsim.release_frame fast;
       let dec_ref = Option.bind (W.packet_of_bytes boxed) W.data_of_packet in
       same_bytes && dec_fast = Some d && dec_ref = Some d)
 
@@ -283,9 +283,11 @@ let test_codec_zero_alloc () =
   let ops = 20_000 in
   let c = control_of_seed 17 and d = data_of_seed 17 in
   let control_words =
-    minor_words_per_op ~ops (fun () -> W.release_frame (W.control_to_bytes c))
+    minor_words_per_op ~ops (fun () -> Netsim.release_frame (W.control_to_bytes c))
   in
-  let data_words = minor_words_per_op ~ops (fun () -> W.release_frame (W.data_to_bytes d)) in
+  let data_words =
+    minor_words_per_op ~ops (fun () -> Netsim.release_frame (W.data_to_bytes d))
+  in
   Alcotest.(check bool)
     (Printf.sprintf "control encode+release %.4f words/frame < 1" control_words)
     true (control_words < 1.0);
@@ -399,7 +401,7 @@ let test_recycled_frames_not_reused_in_flight () =
     in
     Sim.schedule sim ~delay:(0.05 *. float_of_int seq) (fun () ->
         let b = W.data_to_bytes d in
-        Netsim.host_inject ~recycle:(W.recycle_thunk b) net ~node:src b)
+        Netsim.host_inject ~pooled:true net ~node:src b)
   done;
   ignore (Sim.run sim);
   Alcotest.(check int) "no frame arrived as another probe" 0 !wrong;
@@ -423,13 +425,12 @@ let words_per_hop () =
   minor_words_per_op ~ops:2_000 probe /. float_of_int (n - 1)
 
 let test_hop_allocation_pinned () =
-  (* Measured 150.1 words/hop (OCaml 5.x, x86-64), about 106 of them in
-     Netsim's transmit + delivery; the bound leaves 20% headroom.  The
-     boxed hop this replaced (parse graph per hop, Packet.update + two
-     Header.set copies + serialize) measured 512.3 on the same probe. *)
+  (* Measured 63.4 words/hop (OCaml 5.1, x86-64), 17 of them in Netsim's
+     transmit + delivery (one delivery record plus float boxes); the
+     bound leaves 20% headroom. *)
   let w = words_per_hop () in
-  Alcotest.(check bool) (Printf.sprintf "%.1f minor words per forwarded hop < 180" w) true
-    (w < 180.0)
+  Alcotest.(check bool) (Printf.sprintf "%.1f minor words per forwarded hop < 76" w) true
+    (w < 76.0)
 
 (* --- determinism pins ----------------------------------------------- *)
 
